@@ -16,6 +16,8 @@ that delay and returns the causal filter output itself.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -28,6 +30,8 @@ BCE_CLAMP = 1e-7
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
+_grad_enabled = True
+
 
 class Tensor:
     """Node in the differentiation graph."""
@@ -38,7 +42,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         # leaves are validated; op outputs are checked at the loss instead
         # (per-op scans would dominate the training hot path)
-        if not parents and not np.all(np.isfinite(self.data)):
+        if op == "leaf" and not np.all(np.isfinite(self.data)):
             raise ValueError("non-finite values in tensor")
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -80,7 +84,23 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: op outputs keep no parents and no
+    backward closure, so the arrays a closure would hold are freed as soon
+    as the op's caller drops them. Used for inference."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data, parents, backward, op):
+    if not _grad_enabled:
+        return Tensor(data, op=op)
     req = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req, parents=parents,
                   backward=backward if req else None, op=op)
@@ -176,11 +196,9 @@ def sum_of_squares(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0.0  # gradient at exactly 0 is 0
-
     def back(g):
         if x.requires_grad:
-            x.accumulate_owned(g * mask)
+            x.accumulate_owned(g * (x.data > 0.0))  # gradient at exactly 0 is 0
 
     return _node(np.maximum(x.data, 0.0), (x,), back, "relu")
 
@@ -274,26 +292,33 @@ def flip_time(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-def conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
-    """1-D convolution of [batch, ch_in, length] with [ch_out, ch_in, k].
+def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) -> Tensor:
+    """1-D convolution of [batch, groups*ch_in, length] with
+    [groups*ch_out, ch_in, k].
 
-    "same" keeps the length (odd k only, zeros outside the signal);
-    "valid" yields length - k + 1 samples. Gradients are defined for both
-    the signal and the kernel. Long kernels run through an FFT path; both
-    paths are deterministic.
+    Channels split into `groups` independent blocks: output block g
+    convolves input block g with kernel block g only, so groups=G runs G
+    separate convolutions as one op. "same" keeps the length (odd k only,
+    zeros outside the signal); "valid" yields length - k + 1 samples.
+    Gradients are defined for both the signal and the kernel. Long kernels
+    run through an FFT path; both paths are deterministic.
     """
     if padding not in ("same", "valid"):
         raise ValueError(f"unknown padding {padding!r}")
     if x.data.ndim != 3 or kernel.data.ndim != 3:
-        raise ValueError("conv1d expects x [B, Ci, L] and kernel [Co, Ci, k]")
-    b, ci, length = x.data.shape
-    co, kci, k = kernel.data.shape
-    if kci != ci:
-        raise ValueError(f"channel mismatch: input {ci}, kernel {kci}")
+        raise ValueError("conv1d expects x [B, G*Ci, L] and kernel [G*Co, Ci, k]")
+    b, gci, length = x.data.shape
+    gco, ci, k = kernel.data.shape
+    if groups < 1 or gci % groups or gco % groups:
+        raise ValueError(f"{groups} groups do not divide {gci} input and {gco} "
+                         f"output channels")
+    if gci // groups != ci:
+        raise ValueError(f"channel mismatch: input {gci} in {groups} groups, kernel {ci}")
     if k > length and padding == "valid":
         raise ValueError(f"kernel ({k}) longer than signal ({length}) for valid padding")
     if padding == "same" and k % 2 == 0:
         raise ValueError("same padding requires an odd kernel length")
+    ng, co = groups, gco // groups
     p = (k - 1) // 2 if padding == "same" else 0
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
     lp = xp.shape[-1]
@@ -302,42 +327,57 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same") -> Tensor:
     use_fft = k >= FFT_KERNEL_MIN
     if use_fft:
         nfft = next_pow2(lp + k)
-        xhat = np.fft.rfft(xp, nfft)
-        khat = np.fft.rfft(kernel.data, nfft)
-        full = np.fft.irfft(np.einsum("bcf,ocf->bof", xhat, khat), nfft)
-        out = np.ascontiguousarray(full[:, :, k - 1:lp])
-        cols = None
+        xhat = np.fft.rfft(xp, nfft).reshape(b, ng, ci, -1)
+        khat = np.fft.rfft(kernel.data, nfft).reshape(ng, co, ci, -1)
+        full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xhat, khat), nfft)
+        out = np.ascontiguousarray(full[..., k - 1:lp]).reshape(b, gco, ln)
+        cols = kf = None
     else:
+        # cols[b, g, c*k + j, n] = xp[b, g*ci + c, n + j]; the flipped kernel
+        # times these windows is the convolution, already in [B, G*Co, Ln]
         nfft = xhat = khat = None
-        win = sliding_window_view(xp, k, axis=2)  # [B, Ci, Ln, k]
-        cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(b, ln, ci * k)
-        kf = kernel.data[:, :, ::-1].reshape(co, ci * k)
-        out = np.ascontiguousarray((cols @ kf.T).transpose(0, 2, 1))
+        win = sliding_window_view(xp, ln, axis=2)  # [B, G*Ci, k, Ln]
+        cols = np.ascontiguousarray(win).reshape(b, ng, ci * k, ln)
+        kf = kernel.data[:, :, ::-1].reshape(ng, co, ci * k)
+        out = np.matmul(kf, cols).reshape(b, gco, ln)
 
     def back(g):
-        g = np.ascontiguousarray(g)
+        g = np.ascontiguousarray(g).reshape(b, ng, co, ln)
         if kernel.requires_grad:
             if use_fft:
                 ghat = np.fft.rfft(g, nfft)
-                corr = np.einsum("bof,bcf->ocf", np.conj(ghat), xhat)
-                dkf = np.fft.irfft(corr, nfft)[:, :, :k]
+                corr = np.einsum("bgof,bgcf->gocf", np.conj(ghat), xhat)
+                dkf = np.fft.irfft(corr, nfft)[..., :k].reshape(gco, ci, k)
             else:
-                gm = g.transpose(1, 0, 2).reshape(co, b * ln)
-                dkf = (gm @ cols.reshape(b * ln, ci * k)).reshape(co, ci, k)
+                dkf = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+                dkf = dkf.reshape(gco, ci, k)
             kernel.accumulate_owned(np.ascontiguousarray(dkf[:, :, ::-1]))
         if x.requires_grad:
-            gp = np.pad(g, ((0, 0), (0, 0), (k - 1, k - 1)))
             if use_fft:
+                gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
                 nfft2 = next_pow2(gp.shape[-1] + k)
                 gph = np.fft.rfft(gp, nfft2)
-                kh2 = khat if nfft2 == nfft else np.fft.rfft(kernel.data, nfft2)
-                corr = np.einsum("bof,ocf->bcf", gph, np.conj(kh2))
-                dxp = np.fft.irfft(corr, nfft2)[:, :, :lp]
+                kh2 = khat if nfft2 == nfft else \
+                    np.fft.rfft(kernel.data, nfft2).reshape(ng, co, ci, -1)
+                corr = np.einsum("bgof,gocf->bgcf", gph, np.conj(kh2))
+                dxp = np.fft.irfft(corr, nfft2)[..., :lp].reshape(b, gci, lp)
+            elif ci <= co:
+                # gradient of each window row c*k + j, scattered back to xp
+                # samples n + j: k shifted adds of [B, G, Ci, Ln]
+                dcols = np.matmul(kf.transpose(0, 2, 1), g).reshape(b, ng, ci, k, ln)
+                dxp = np.zeros((b, ng, ci, lp))
+                for j in range(k):
+                    dxp[..., j:j + ln] += dcols[:, :, :, j]
+                dxp = dxp.reshape(b, gci, lp)
             else:
-                win_g = sliding_window_view(gp, k, axis=2)  # [B, Co, Lp, k]
-                colsg = np.ascontiguousarray(win_g.transpose(0, 2, 1, 3)).reshape(b, lp, co * k)
-                kk = kernel.data.transpose(0, 2, 1).reshape(co * k, ci)
-                dxp = (colsg @ kk).transpose(0, 2, 1)
+                # fewer output channels: gather windows of the zero-padded
+                # gradient instead (Co*k rows, not Ci*k) and apply the
+                # unflipped kernel
+                gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
+                colsg = np.ascontiguousarray(sliding_window_view(gp, lp, axis=3))
+                kk = kernel.data.reshape(ng, co, ci, k).transpose(0, 2, 1, 3)
+                dxp = np.matmul(kk.reshape(ng, ci, co * k), colsg.reshape(b, ng, co * k, lp))
+                dxp = dxp.reshape(b, gci, lp)
             x.accumulate_owned(np.ascontiguousarray(dxp[:, :, p:p + length]))
 
     return _node(out, (x, kernel), back, f"conv1d_{padding}")
@@ -413,12 +453,13 @@ def maxpool1d(x: Tensor, pool: int) -> Tensor:
     if pool == 2:
         left = view[..., 0]
         right = view[..., 1]
-        second = right > left  # strict: ties stay with the first element
-        out = np.where(second, right, left)
+        out = np.maximum(left, right)
 
         def back(g):
             if x.requires_grad:
-                full = np.zeros_like(x.data)
+                second = right > left  # strict: ties stay with the first element
+                full = np.empty_like(x.data)
+                full[:, :, lo * pool:] = 0.0
                 buf = full[:, :, :lo * pool].reshape(b, c, lo, pool)
                 np.multiply(g, second, out=buf[..., 1])
                 np.multiply(g, ~second, out=buf[..., 0])
@@ -451,64 +492,100 @@ class BatchNormState:
         out.var = self.var.copy()
         return out
 
+    def channels(self, start: int, stop: int) -> "BatchNormState":
+        """A state whose statistics are views of channels [start, stop):
+        in-place updates through either state show in both."""
+        out = BatchNormState(0)
+        out.mean = self.mean[start:stop]
+        out.var = self.var[start:stop]
+        return out
+
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                train: bool, eps: float = BN_EPS, momentum: float = BN_MOMENTUM) -> Tensor:
+                train: bool, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,
+                bias: Tensor | None = None) -> Tensor:
     """Per-channel normalization over batch and length of [B, C, L].
 
     Train mode normalizes with (biased) batch statistics and updates the
     running statistics in place; infer mode uses the running statistics.
+
+    `bias` is a per-channel bias [C] that the layer before added to x,
+    folded in here instead: batch statistics cancel it exactly, so train
+    mode ignores it (it gets no gradient) except that the running mean
+    tracks mean(x + bias); infer mode moves it into the shift.
     """
     if x.data.ndim != 3:
         raise ValueError("batchnorm1d expects x [B, C, L]")
     b, c, length = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("gamma/beta must have shape [C]")
+    if bias is not None and bias.data.shape != (c,):
+        raise ValueError("bias must have shape [C]")
+    m = b * length
     if train:
         if b < 2:
             raise ValueError("batchnorm in train mode needs batch >= 2")
         mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
-        state.mean = momentum * state.mean + (1.0 - momentum) * mu
-        state.var = momentum * state.var + (1.0 - momentum) * var
+        xc = x.data - mu[None, :, None]
+        var = np.einsum("bcl,bcl->c", xc, xc) / m
+        del xc  # freed before out is allocated: one fewer [B, C, L] at peak
+        state.mean *= momentum
+        state.mean += (1.0 - momentum) * (mu if bias is None else mu + bias.data)
+        state.var *= momentum
+        state.var += (1.0 - momentum) * var
     else:
-        mu = state.mean.copy()
-        var = state.var.copy()
+        mu = state.mean.copy() if bias is None else state.mean - bias.data
+        var = state.var
     ivar = 1.0 / np.sqrt(var + eps)
-    # single fused pass: out = x * (gamma*ivar) + (beta - gamma*ivar*mu)
+    # two passes: out = x * (gamma*ivar) + (beta - gamma*ivar*mu)
     a_ch = gamma.data * ivar
-    out = x.data * a_ch[None, :, None] + (beta.data - a_ch * mu)[None, :, None]
-    m = b * length
+    out = x.data * a_ch[None, :, None]
+    out += (beta.data - a_ch * mu)[None, :, None]
+    parents = (x, gamma, beta) if train or bias is None else (x, gamma, beta, bias)
 
     def back(g):
+        gsum = g.sum(axis=(0, 2))
         if gamma.requires_grad or (x.requires_grad and train):
-            xh = (x.data - mu[None, :, None]) * ivar[None, :, None]
+            # sum(g * xh) without materializing xh = (x - mu) * ivar
+            gxh = (np.einsum("bcl,bcl->c", g, x.data) - mu * gsum) * ivar
         if gamma.requires_grad:
-            gamma.accumulate_owned((g * xh).sum(axis=(0, 2)))
+            gamma.accumulate_owned(gxh)
         if beta.requires_grad:
-            beta.accumulate_owned(g.sum(axis=(0, 2)))
+            beta.accumulate_owned(gsum)
+        if not train and bias is not None and bias.requires_grad:
+            bias.accumulate_owned(gsum * a_ch)
         if x.requires_grad:
             if train:
-                # dL/dx through the batch statistics
-                gsum = g.sum(axis=(0, 2))
-                gxh = (g * xh).sum(axis=(0, 2))
-                dx = (g - (gsum[None, :, None] + xh * gxh[None, :, None]) / m) \
-                    * a_ch[None, :, None]
+                # dL/dx = a * (g - (gsum + xh * gxh) / m), expanded in x:
+                # a*g - c1*x + c0 with c1 = a*ivar*gxh/m, c0 = c1*mu - a*gsum/m
+                c1 = a_ch * ivar * gxh / m
+                c0 = c1 * mu - a_ch * gsum / m
+                dx = np.multiply(x.data, -c1[None, :, None])
+                dx += c0[None, :, None]
+                dx += g * a_ch[None, :, None]
             else:
                 dx = g * a_ch[None, :, None]
             x.accumulate_owned(dx)
 
-    return _node(out, (x, gamma, beta), back, "batchnorm")
+    return _node(out, parents, back, "batchnorm")
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: kept activations are scaled by 1/(1-rate)."""
+def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator,
+            keep: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: kept activations are scaled by 1/(1-rate).
+
+    `keep` is a boolean keep-mask of x's shape drawn beforehand; without
+    it the mask is drawn from rng here (rng.random(shape) >= rate).
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.data.shape) >= rate) / keep
+    if keep is None:
+        keep = rng.random(x.data.shape) >= rate
+    elif keep.shape != x.data.shape:
+        raise ValueError(f"keep-mask shape {keep.shape} != input shape {x.data.shape}")
+    mask = keep * (1.0 / (1.0 - rate))  # the same values as keep / (1 - rate)
 
     def back(g):
         if x.requires_grad:

@@ -187,6 +187,26 @@ def cmd_folds(args, argv) -> int:
     return 0
 
 
+# --config keys, by the config object each one sets
+NETWORK_KEYS = ("dropout", "l2_conv", "pool", "input_len", "kernel_len")
+TRAIN_KEYS = ("lr0", "lr_decay", "batch_size", "epochs", "class_weights")
+
+
+def _read_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        overrides = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ValueError(f"cannot read config {path}: {e}") from None
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(overrides) - set(NETWORK_KEYS) - set(TRAIN_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return overrides
+
+
 def _network_config(args, overrides: dict) -> mdl.NetworkConfig:
     frontend = FRONTEND_ALIASES[args.frontend]
     if frontend == "external_fir" and args.init == "zeros":
@@ -197,17 +217,13 @@ def _network_config(args, overrides: dict) -> mdl.NetworkConfig:
         "frontend_trainable": args.trainable,
         "seed": args.seed,
     }
-    for key in ("dropout", "l2_conv", "input_len", "kernel_len"):
-        if key in overrides:
-            fields[key] = overrides[key]
+    fields.update((k, v) for k, v in overrides.items() if k in NETWORK_KEYS)
     return mdl.NetworkConfig(**fields)
 
 
 def _train_config(args, overrides: dict) -> trn.TrainConfig:
     cfg = trn.TrainConfig(seed=args.seed)
-    keys = {k: v for k, v in overrides.items()
-            if k in ("lr0", "lr_decay", "dropout", "l2_conv", "pool",
-                     "batch_size", "epochs", "class_weights")}
+    keys = {k: v for k, v in overrides.items() if k in TRAIN_KEYS}
     if keys.get("class_weights") is not None:
         keys["class_weights"] = tuple(keys["class_weights"])
     cfg = replace(cfg, **keys)
@@ -230,8 +246,8 @@ def config_name(cfg: mdl.NetworkConfig) -> str:
 
 
 def cmd_train(args, argv) -> int:
+    overrides = _read_config(args.config)
     out = _out_dir(args.out)
-    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
     net_cfg = _network_config(args, overrides)
     train_cfg = _train_config(args, overrides)
     store = dat.CycleStore.load(args.cycles)

@@ -139,13 +139,9 @@ class TConvLayer:
     def _zero_phase_forward(self, x: ad.Tensor, kern: ad.Tensor) -> ad.Tensor:
         """Filter, reverse, filter again, reverse back: per band, the
         composite transfer is the squared magnitude of the kernel with no
-        phase. The kernel tensor is used by both passes, so its gradient
-        is the sum over both uses."""
+        phase. The reverse pass filters each band with its own kernel as
+        one grouped convolution. The kernel tensor is used by both passes,
+        so its gradient is the sum over both uses."""
         z = ad.conv1d(x, kern, padding="same")  # [B, bands, L]
-        parts = []
-        for band in range(self.bands):
-            zb = ad.slice_channels(z, band, band + 1)
-            kb = ad.slice_axis(kern, 0, band, band + 1)
-            back_pass = ad.conv1d(ad.flip_time(zb), kb, padding="same")
-            parts.append(ad.flip_time(back_pass))
-        return ad.concat(parts, axis=1)
+        back_pass = ad.conv1d(ad.flip_time(z), kern, padding="same", groups=self.bands)
+        return ad.flip_time(back_pass)

@@ -6,6 +6,12 @@ conv(8 filters, k=5, valid) -> batchnorm -> relu -> dropout -> maxpool(2)
 Branch outputs are flattened, concatenated, and classified by a dense
 hidden layer of 20 relu units and one sigmoid output.
 
+The four branches run as one grouped stage: their parameters are
+concatenated per step and each stage is a single grouped convolution,
+batch-norm, relu, dropout and pool over [batch, 4*filters, length]. Each
+branch keeps its own parameter tensors (the checkpoint and the optimizer
+see them per branch); its batch-norm statistics are views of the stage's.
+
 The front-end is either one of the learnable band-splitting layers or
 "external_fir": the model then takes input already decomposed into four
 bands by a fixed filter bank, aligned the same way the conv front-end
@@ -17,12 +23,15 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
+from .dsp import next_pow2
 from .errors import CheckpointError
 from .fir import FilterBank, default_bank
 from .frontend import InitScheme, TConvLayer, init_kernel
@@ -63,6 +72,8 @@ class NetworkConfig:
             raise ValueError("front-end kernel length must be odd")
         if self.input_len < 20:
             raise ValueError("input_len must be >= 20")
+        if self.pool < 1:
+            raise ValueError("pool must be >= 1")
 
 
 def branch_feature_len(input_len: int, kernel: int = 5, pool: int = 2) -> int:
@@ -102,6 +113,8 @@ class Network:
     head_b1: ad.Tensor
     head_w2: ad.Tensor
     head_b2: ad.Tensor
+    bn1_state: ad.BatchNormState    # stage-level statistics; the branch
+    bn2_state: ad.BatchNormState    # states are views of their channels
     step: int = 0
 
     # -- parameter bookkeeping -------------------------------------------
@@ -185,26 +198,43 @@ class Network:
                 raise ValueError(f"conv frontend expects [batch, 1, L], got {batch.shape}")
             bands = self.frontend.forward(ad.tensor(batch))
 
-        feats = []
-        for i, br in enumerate(self.branches):
-            xb = ad.slice_channels(bands, i, i + 1)
-            h = ad.conv1d(xb, br.w1, padding="valid")
-            h = ad.add_channel_bias(h, br.b1)
-            h = ad.batchnorm1d(h, br.bn1_gamma, br.bn1_beta, br.bn1_state, train)
+        n = batch.shape[0]
+        keep1 = keep2 = None
+        if train and cfg.dropout > 0.0:
+            keep1, keep2 = self._dropout_keep(n, bands.data.shape[-1], cfg.dropout, rng)
+        h = bands
+        for stage, state, keep in ((1, self.bn1_state, keep1), (2, self.bn2_state, keep2)):
+            w, b, gamma, beta = (
+                ad.concat([getattr(br, name) for br in self.branches], axis=0)
+                for name in (f"w{stage}", f"b{stage}", f"bn{stage}_gamma", f"bn{stage}_beta"))
+            h = ad.conv1d(h, w, padding="valid", groups=cfg.bands)
+            h = ad.batchnorm1d(h, gamma, beta, state, train, bias=b)
             h = ad.relu(h)
-            h = ad.dropout(h, cfg.dropout, train, rng) if train else h
+            if train:
+                h = ad.dropout(h, cfg.dropout, train, rng, keep=keep)
             h = ad.maxpool1d(h, cfg.pool)
-            h = ad.conv1d(h, br.w2, padding="valid")
-            h = ad.add_channel_bias(h, br.b2)
-            h = ad.batchnorm1d(h, br.bn2_gamma, br.bn2_beta, br.bn2_state, train)
-            h = ad.relu(h)
-            h = ad.dropout(h, cfg.dropout, train, rng) if train else h
-            h = ad.maxpool1d(h, cfg.pool)
-            feats.append(ad.reshape(h, (batch.shape[0], -1)))
-        z = ad.concat(feats, axis=1)
+        # [B, bands*filters, L'] flattens branch-major: each branch's
+        # features form one contiguous block of the head's input
+        z = ad.reshape(h, (n, -1))
         z = ad.relu(ad.dense(z, self.head_w1, self.head_b1))
         out = ad.sigmoid(ad.dense(z, self.head_w2, self.head_b2))
-        return ad.reshape(out, (batch.shape[0],))
+        return ad.reshape(out, (n,))
+
+    def _dropout_keep(self, n: int, length: int, rate: float, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Keep-masks of both stages, drawn in per-branch order (branch 0
+        stage 1, branch 0 stage 2, branch 1 stage 1, ...) so the random
+        stream matches one dropout draw per branch and stage."""
+        cfg = self.config
+        k, c1, c2 = cfg.branch_kernel, cfg.conv1_filters, cfg.conv2_filters
+        len1 = length - k + 1
+        len2 = len1 // cfg.pool - k + 1
+        keep1 = np.empty((n, cfg.bands * c1, len1), dtype=bool)
+        keep2 = np.empty((n, cfg.bands * c2, len2), dtype=bool)
+        for i in range(cfg.bands):
+            keep1[:, i * c1:(i + 1) * c1] = rng.random((n, c1, len1)) >= rate
+            keep2[:, i * c2:(i + 1) * c2] = rng.random((n, c2, len2)) >= rate
+        return keep1, keep2
 
     def l2_penalty(self) -> ad.Tensor | None:
         if self.config.l2_conv == 0.0:
@@ -219,18 +249,24 @@ class Network:
         """Fixed-bank band decomposition for the external_fir input path.
 
         Centered alignment (numpy "same" convolution), matching the conv
-        front-end's output sample-for-sample.
+        front-end's output sample-for-sample. The whole batch goes through
+        one FFT product, independent of autodiff.conv1d, so comparing the
+        two checks one implementation against another.
         """
         if self.bank is None:
             raise ValueError("this network has a conv frontend; feed it raw cycles")
         raw = np.asarray(raw, dtype=np.float64)
         if raw.ndim == 1:
             raw = raw[None, :]
-        out = np.empty((raw.shape[0], len(self.bank.filters), raw.shape[1]))
-        for bi, f in enumerate(self.bank.filters):
-            for r in range(raw.shape[0]):
-                out[r, bi] = np.convolve(raw[r], f.coeffs, mode="same")
-        return out
+        coeffs = np.stack([f.coeffs for f in self.bank.filters])   # [bands, K]
+        n, k = raw.shape[1], coeffs.shape[1]
+        if n < k:
+            raise ValueError(f"cycles of {n} samples are shorter than the {k}-tap bank")
+        nfft = next_pow2(n + k - 1)
+        spec = np.fft.rfft(raw, nfft)[:, None, :] * np.fft.rfft(coeffs, nfft)[None, :, :]
+        full = np.fft.irfft(spec, nfft)
+        start = (k - 1) // 2
+        return np.ascontiguousarray(full[:, :, start:start + n])
 
 
 def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -267,6 +303,9 @@ def build(config: NetworkConfig, bank: FilterBank | None = None) -> Network:
         if bank is None:
             bank = default_bank(1000.0, cfg.kernel_len - 1)
 
+    c1, c2 = cfg.conv1_filters, cfg.conv2_filters
+    bn1_state = ad.BatchNormState(cfg.bands * c1)
+    bn2_state = ad.BatchNormState(cfg.bands * c2)
     branches = []
     for i in range(cfg.bands):
         rng = np.random.default_rng(streams[1 + i])
@@ -275,13 +314,13 @@ def build(config: NetworkConfig, bank: FilterBank | None = None) -> Network:
             b1=ad.parameter(np.zeros(cfg.conv1_filters)),
             bn1_gamma=ad.parameter(np.ones(cfg.conv1_filters)),
             bn1_beta=ad.parameter(np.zeros(cfg.conv1_filters)),
-            bn1_state=ad.BatchNormState(cfg.conv1_filters),
+            bn1_state=bn1_state.channels(i * c1, (i + 1) * c1),
             w2=ad.parameter(_he_normal(rng, (cfg.conv2_filters, cfg.conv1_filters, k),
                                        cfg.conv1_filters * k)),
             b2=ad.parameter(np.zeros(cfg.conv2_filters)),
             bn2_gamma=ad.parameter(np.ones(cfg.conv2_filters)),
             bn2_beta=ad.parameter(np.zeros(cfg.conv2_filters)),
-            bn2_state=ad.BatchNormState(cfg.conv2_filters),
+            bn2_state=bn2_state.channels(i * c2, (i + 1) * c2),
         ))
 
     rng = np.random.default_rng(streams[5])
@@ -292,6 +331,7 @@ def build(config: NetworkConfig, bank: FilterBank | None = None) -> Network:
         head_b1=ad.parameter(np.zeros(cfg.hidden)),
         head_w2=ad.parameter(_he_normal(rng, (cfg.hidden, 1), cfg.hidden)),
         head_b2=ad.parameter(np.zeros(1)),
+        bn1_state=bn1_state, bn2_state=bn2_state,
     )
     return net
 
@@ -355,7 +395,9 @@ def load(path: str) -> Network:
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != CKPT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        size = os.fstat(fh.fileno()).st_size
         (cfg_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+        _check_room(fh, size, cfg_len, "config")
         try:
             cfg = NetworkConfig(**json.loads(_read_exact(fh, cfg_len)))
         except (ValueError, TypeError) as e:
@@ -365,12 +407,16 @@ def load(path: str) -> Network:
         blobs: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, nlen).decode()
+            try:
+                name = _read_exact(fh, nlen).decode()
+            except UnicodeDecodeError:
+                raise CheckpointError("bad blob name in checkpoint") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
+            _check_room(fh, size, 8 * ndim, f"shape of {name}")
             shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(_read_exact(fh, 8 * n_items), dtype="<f8").reshape(shape)
-            blobs[name] = arr.copy()
+            _check_room(fh, size, 8 * math.prod(shape), f"blob {name} {shape}")
+            arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+            blobs[name] = arr.reshape(shape).copy()
 
     net = build(cfg)
     expected = [name for name, _ in net._blobs()]
@@ -379,9 +425,21 @@ def load(path: str) -> Network:
         extra = set(blobs) - set(expected)
         raise CheckpointError(f"checkpoint blob mismatch: missing {sorted(missing)}, "
                               f"unexpected {sorted(extra)}")
+    for name, arr in net._blobs():
+        if blobs[name].shape != arr.shape:
+            raise CheckpointError(f"blob {name} has shape {blobs[name].shape}, "
+                                  f"expected {arr.shape}")
     _restore(net, blobs)
     net.step = step
     return net
+
+
+def _check_room(fh, size: int, n_bytes: int, what: str) -> None:
+    """Reject a length field that claims more bytes than the file has left."""
+    left = size - fh.tell()
+    if n_bytes > left:
+        raise CheckpointError(f"corrupt checkpoint: {what} needs {n_bytes} bytes, "
+                              f"{left} left")
 
 
 def _restore(net: Network, blobs: dict[str, np.ndarray]) -> None:

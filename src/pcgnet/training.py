@@ -30,16 +30,13 @@ DEFAULT_LR_DECAY = 0.0001132885
 class TrainConfig:
     lr0: float = DEFAULT_LR0
     lr_decay: float = DEFAULT_LR_DECAY
-    dropout: float = 0.5
-    l2_conv: float = 0.0486
-    pool: int = 2
     batch_size: int = 64
     epochs: int = 150
     class_weights: tuple[float, float] | None = None   # (w_normal, w_abnormal)
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr0", "lr_decay", "batch_size", "pool"):
+        for name in ("lr0", "lr_decay", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
@@ -176,14 +173,15 @@ def _predict_recordings(net: Network, store: CycleStore, cycle_idx: np.ndarray
         groups.setdefault(store.recording_ids[i], []).append(int(i))
     flat = [i for rid in sorted(groups) for i in sorted(groups[rid])]
     probs = np.empty(len(flat))
-    for start in range(0, len(flat), EVAL_BATCH):
-        rows = flat[start:start + EVAL_BATCH]
-        batch = store.samples[rows]
-        if net.frontend is None:
-            batch = net.decompose(batch)
-        else:
-            batch = batch[:, None, :]
-        probs[start:start + len(rows)] = net.forward(batch, train=False).data
+    with ad.no_grad():
+        for start in range(0, len(flat), EVAL_BATCH):
+            rows = flat[start:start + EVAL_BATCH]
+            batch = store.samples[rows]
+            if net.frontend is None:
+                batch = net.decompose(batch)
+            else:
+                batch = batch[:, None, :]
+            probs[start:start + len(rows)] = net.forward(batch, train=False).data
     out = {}
     pos = 0
     for rid in sorted(groups):

@@ -54,3 +54,46 @@ def std_tolerance(displayed: float) -> float:
     if text.endswith(".0"):
         decimals = 0
     return 0.5 * 10.0 ** (-decimals) + 1e-9
+
+
+def branch_loop_forward(net, batch, train=False, rng=None, states=None):
+    """Network.forward rebuilt as one op chain per branch, the way the
+    grouped branch stage is defined: slice -> conv -> add_channel_bias ->
+    batch-norm -> relu -> dropout -> pool, twice, for each band in turn.
+    The zero-phase front-end's reverse pass is likewise one conv per band.
+
+    `states` is a list of (stage-1, stage-2) BatchNormState pairs, one per
+    branch, so the network's own running statistics stay untouched.
+    """
+    import pcgnet.autodiff as ad
+
+    cfg = net.config
+    n = batch.shape[0]
+    x = ad.tensor(batch)
+    if net.frontend is not None:
+        kern = net.frontend.materialized_kernel()
+        x = ad.conv1d(x, kern, padding="same")
+        if net.frontend.variant == "zero_phase":
+            parts = []
+            for band in range(cfg.bands):
+                zb = ad.slice_channels(x, band, band + 1)
+                kb = ad.slice_axis(kern, 0, band, band + 1)
+                parts.append(ad.flip_time(ad.conv1d(ad.flip_time(zb), kb, padding="same")))
+            x = ad.concat(parts, axis=1)
+    feats = []
+    for i, br in enumerate(net.branches):
+        h = ad.slice_channels(x, i, i + 1)
+        for w, b, gamma, beta, state in (
+                (br.w1, br.b1, br.bn1_gamma, br.bn1_beta, states[i][0]),
+                (br.w2, br.b2, br.bn2_gamma, br.bn2_beta, states[i][1])):
+            h = ad.conv1d(h, w, padding="valid")
+            h = ad.add_channel_bias(h, b)
+            h = ad.batchnorm1d(h, gamma, beta, state, train)
+            h = ad.relu(h)
+            if train:
+                h = ad.dropout(h, cfg.dropout, train, rng)
+            h = ad.maxpool1d(h, cfg.pool)
+        feats.append(ad.reshape(h, (n, -1)))
+    z = ad.relu(ad.dense(ad.concat(feats, axis=1), net.head_w1, net.head_b1))
+    out = ad.sigmoid(ad.dense(z, net.head_w2, net.head_b2))
+    return ad.reshape(out, (n,))

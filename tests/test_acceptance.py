@@ -110,6 +110,16 @@ def test_gradient_suite():
     check(lambda: ad.tsum(ad.mul(ad.conv1d(x, k_big, "same"), ad.tensor(coef_b))),
           [x, k_big])
 
+    # grouped convolution, two groups: both direct-path dx layouts and FFT
+    rng_g = np.random.default_rng(71)
+    xg = ad.Tensor(rng_g.normal(size=(2, 4, 20)), requires_grad=True)
+    for co, k, padding in ((3, 5, "valid"), (1, 5, "valid"), (1, 17, "same")):
+        kg = ad.Tensor(rng_g.normal(size=(2 * co, 2, k)), requires_grad=True)
+        out_len = 20 if padding == "same" else 20 - k + 1
+        coef_g = ad.tensor(rng_g.normal(size=(2, 2 * co, out_len)))
+        check(lambda: ad.tsum(ad.mul(ad.conv1d(xg, kg, padding, groups=2), coef_g)),
+              [xg, kg])
+
     xc = ad.Tensor(rng.normal(size=(1, 1, 30)), requires_grad=True)
     kc = ad.Tensor(rng.normal(size=(1, 1, 7)), requires_grad=True)
     coef_c = rng.normal(size=(1, 1, 30))

@@ -92,6 +92,44 @@ class TestConv1d:
         with pytest.raises(ValueError):
             ad.conv1d(x, ad.tensor(np.zeros((1, 2, 4))), "same")  # even kernel
 
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("ci,co,k", [
+        (1, 8, 5),    # fewer input channels: dx scatters window rows back
+        (8, 4, 5),    # fewer output channels: dx gathers gradient windows
+        (2, 3, 17),   # FFT path
+        (1, 1, 21),   # FFT path, one channel per group (zero-phase reverse pass)
+    ])
+    def test_groups_equal_separate_convolutions(self, padding, ci, co, k):
+        groups = 4
+        rng = np.random.default_rng(100 * ci + 10 * co + k)
+        xv = rng.normal(size=(3, groups * ci, 40))
+        kv = rng.normal(size=(groups * co, ci, k))
+        x = ad.Tensor(xv, requires_grad=True)
+        kern = ad.Tensor(kv, requires_grad=True)
+        y = ad.conv1d(x, kern, padding, groups=groups)
+        coef = rng.normal(size=y.data.shape)
+        ad.backward(ad.tsum(ad.mul(y, ad.tensor(coef))))
+        for g in range(groups):
+            ins, outs = slice(g * ci, (g + 1) * ci), slice(g * co, (g + 1) * co)
+            xs = ad.Tensor(xv[:, ins], requires_grad=True)
+            ks = ad.Tensor(kv[outs], requires_grad=True)
+            ys = ad.conv1d(xs, ks, padding)
+            ad.backward(ad.tsum(ad.mul(ys, ad.tensor(coef[:, outs]))))
+            assert np.abs(y.data[:, outs] - ys.data).max() < 1e-12
+            assert np.abs(x.grad[:, ins] - xs.grad).max() < 1e-12
+            assert np.abs(kern.grad[outs] - ks.grad).max() < 1e-12
+
+    def test_rejects_bad_groups(self):
+        x = ad.tensor(np.zeros((1, 4, 10)))
+        with pytest.raises(ValueError):
+            ad.conv1d(x, ad.tensor(np.zeros((3, 2, 3))), groups=2)  # 3 outputs, 2 groups
+        with pytest.raises(ValueError):
+            ad.conv1d(x, ad.tensor(np.zeros((3, 1, 3))), groups=3)  # 4 inputs, 3 groups
+        with pytest.raises(ValueError):
+            ad.conv1d(x, ad.tensor(np.zeros((4, 2, 3))), groups=4)  # 1 input per group
+        with pytest.raises(ValueError):
+            ad.conv1d(x, ad.tensor(np.zeros((4, 4, 3))), groups=0)
+
 
 class TestCausalConv:
     def test_matches_apply_fir(self):
@@ -289,6 +327,59 @@ class TestBatchnorm:
             assert relative_error(ana, num) < 1e-4
 
 
+    def test_folded_bias_equals_added_bias(self):
+        rng = np.random.default_rng(4)
+        h = rng.normal(size=(5, 3, 12))
+        bias = rng.normal(size=3)
+        gamma = ad.tensor(rng.normal(1.0, 0.1, size=3))
+        beta = ad.tensor(rng.normal(size=3))
+        for train in (True, False):
+            st = ad.BatchNormState(3)
+            st.mean = rng.normal(size=3)
+            st.var = np.abs(rng.normal(1.0, 0.1, size=3))
+            st_folded = st.copy()
+            want = ad.batchnorm1d(ad.add_channel_bias(ad.tensor(h), ad.tensor(bias)),
+                                  gamma, beta, st, train)
+            got = ad.batchnorm1d(ad.tensor(h), gamma, beta, st_folded, train,
+                                 bias=ad.tensor(bias))
+            assert np.abs(got.data - want.data).max() < 1e-12
+            assert np.abs(st_folded.mean - st.mean).max() < 1e-12
+            assert np.abs(st_folded.var - st.var).max() < 1e-12
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_folded_bias_gradient(self, train):
+        rng = np.random.default_rng(32)
+        x = ad.Tensor(rng.normal(size=(4, 2, 6)), requires_grad=True)
+        gamma = ad.Tensor(rng.normal(1.0, 0.1, size=2), requires_grad=True)
+        beta = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        coef = rng.normal(size=(4, 2, 6))
+        st = ad.BatchNormState(2)
+        st.mean = rng.normal(size=2)
+
+        def f():
+            y = ad.batchnorm1d(x, gamma, beta, st.copy(), train, bias=bias)
+            return ad.tsum(ad.mul(y, ad.tensor(coef)))
+
+        for p in (x, gamma, beta, bias):
+            num = numeric_gradient(f, p)
+            (ana,) = analytic_gradient(f, [p])
+            assert relative_error(ana, num) < 1e-4
+        if train:  # batch statistics cancel the bias exactly
+            bias.zero_grad()
+            ad.backward(f())
+            assert bias.grad is None
+
+    def test_channel_views_share_statistics(self):
+        x = np.random.default_rng(6).normal(5.0, 2.0, size=(8, 2, 10))
+        st = ad.BatchNormState(6)
+        part = st.channels(2, 4)
+        ad.batchnorm1d(ad.tensor(x), ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), part, True)
+        assert np.array_equal(st.mean[2:4], part.mean)
+        assert np.abs(part.mean - 0.1 * x.mean(axis=(0, 2))).max() < 1e-12
+        assert np.array_equal(st.mean[[0, 1, 4, 5]], np.zeros(4))
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = ad.tensor(np.ones((2, 2)))
@@ -312,6 +403,45 @@ class TestDropout:
         out = ad.dropout(x, 0.5, True, np.random.default_rng(3))
         ad.backward(ad.tsum(out))
         assert np.array_equal(x.grad, out.data)  # mask * 2 where kept
+
+
+    def test_given_keep_mask_matches_drawn_mask(self):
+        x = ad.tensor(np.random.default_rng(1).normal(size=(3, 4, 5)))
+        drawn = ad.dropout(x, 0.3, True, np.random.default_rng(8))
+        keep = np.random.default_rng(8).random((3, 4, 5)) >= 0.3
+        given = ad.dropout(x, 0.3, True, None, keep=keep)
+        assert np.array_equal(drawn.data, given.data)
+        with pytest.raises(ValueError):
+            ad.dropout(x, 0.3, True, None, keep=keep[:, :2])
+
+
+class TestNoGrad:
+    def test_ops_build_no_graph(self):
+        x = ad.tensor(np.ones((4, 2)))
+        w = ad.parameter(np.ones((2, 3)))
+        b = ad.parameter(np.zeros(3))
+        with ad.no_grad():
+            y = ad.relu(ad.dense(x, w, b))
+        assert y.op == "relu" and not y.requires_grad
+        assert y._parents == () and y._backward is None
+        z = ad.relu(ad.dense(x, w, b))
+        assert z.requires_grad and z._backward is not None
+        assert np.array_equal(y.data, z.data)
+
+    def test_op_outputs_are_not_scanned(self):
+        with ad.no_grad():
+            y = ad.scale(ad.tensor(np.ones(2)), np.inf)
+        assert np.all(np.isinf(y.data))
+        with pytest.raises(ValueError):
+            ad.tensor(np.array([np.inf]))  # leaves still are
+
+    def test_graph_building_restored_after_error(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                raise RuntimeError("inside")
+        assert ad.scale(ad.parameter(np.ones(2)), 2.0)._backward is not None
 
 
 class TestWeightedBce:

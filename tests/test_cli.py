@@ -9,7 +9,7 @@ import pytest
 from pcgnet.cli import main
 from pcgnet.data import CycleStore, read_fold_manifest
 from pcgnet.fir import bank_from_json, default_bank, frequency_response
-from pcgnet.model import NetworkConfig, build, save
+from pcgnet.model import NetworkConfig, build, load, save
 
 from _reference import REFERENCE_ROWS
 
@@ -140,6 +140,33 @@ class TestTrainEval:
         hist = (run / "history.csv").read_text().strip().splitlines()
         assert len(hist) == 2  # config file's epochs=1 applied
 
+    def test_config_pool_reaches_the_network(self, pipeline, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "batch_size": 8, "pool": 3}))
+        run = tmp_path / "run"
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "0", "--frontend", "lp", "--config", str(cfg),
+                     "--out", str(run)]) == 0
+        assert load(str(run / "checkpoint.ckpt")).config.pool == 3
+
+    def test_unknown_config_key_is_usage_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "dropuot": 0.2}))
+        capsys.readouterr()
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "0", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "dropuot" in err[0]
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "0", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestReport:
     def test_reference_rows_reproduced(self, tmp_path):
@@ -214,6 +241,20 @@ class TestAnalyze:
         for band in summary["bands"]:
             assert band["phase_linearity_residual_rad"] < 1e-6
             assert band["group_delay_samples"] == 30.0
+
+    def test_corrupt_shape_field_is_data_error(self, tmp_path, capsys):
+        net = build(NetworkConfig(frontend="tconv_free", init="fir_bank", seed=0))
+        ckpt = tmp_path / "m.ckpt"
+        save(net, str(ckpt))
+        blob = bytearray(ckpt.read_bytes())
+        name = b"frontend.kernel"
+        shape_at = blob.index(name) + len(name) + 1
+        blob[shape_at:shape_at + 8] = (2 ** 62).to_bytes(8, "little")
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["analyze", "--ckpt", str(ckpt), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
 
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         assert main(["analyze", "--ckpt", str(tmp_path / "nope.ckpt"),

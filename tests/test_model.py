@@ -1,9 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
+import pcgnet.autodiff as ad
 from pcgnet.errors import CheckpointError
-from pcgnet.model import (Network, NetworkConfig, aggregate_recording,
+from pcgnet.model import (CKPT_MAGIC, Network, NetworkConfig, aggregate_recording,
                           branch_feature_len, build, flatten_width, load, save)
+
+from _reference import branch_loop_forward
 
 
 def shape_oracle(input_len, kernel=5, pool=2):
@@ -143,6 +148,80 @@ class TestForward:
             net.forward(np.zeros((2, 1, 100)), train=True)
 
 
+class TestGroupedStage:
+    """The grouped branch stage against the per-branch op chains it replaces."""
+
+    @staticmethod
+    def _net_and_batch(frontend, init="random"):
+        net = build(NetworkConfig(frontend=frontend, init=init, input_len=300, seed=12))
+        rng = np.random.default_rng(40)
+        # nonzero biases and running statistics, so the folding is exercised
+        for br in net.branches:
+            for b in (br.b1, br.b2):
+                b.data[...] = rng.normal(size=b.data.shape)
+        for st in (net.bn1_state, net.bn2_state):
+            st.mean[...] = rng.normal(size=st.mean.shape)
+            st.var[...] = rng.uniform(0.5, 2.0, size=st.var.shape)
+        raw = rng.normal(size=(6, 300))
+        batch = net.decompose(raw) if frontend == "external_fir" else raw[:, None, :]
+        return net, batch
+
+    @pytest.mark.parametrize("frontend", ["tconv_lp", "tconv_zp", "tconv_free",
+                                          "external_fir"])
+    def test_train_forward_and_gradients_match_branch_loop(self, frontend):
+        net, batch = self._net_and_batch(frontend)
+        labels = np.array([1, 0, 1, 0, 1, 1])
+        weights = np.linspace(0.5, 1.5, 6)
+        states = [(br.bn1_state.copy(), br.bn2_state.copy()) for br in net.branches]
+        params = net.parameters()
+
+        def grads(pred):
+            net.zero_grad()
+            ad.backward(ad.add(ad.weighted_bce(pred, labels, weights), net.l2_penalty()))
+            return [p.grad if p.grad is not None else np.zeros_like(p.data) for _, p in params]
+
+        assert net.config.dropout == 0.5
+        want = branch_loop_forward(net, batch, True, np.random.default_rng(3), states)
+        want_grads = grads(want)
+        got = net.forward(batch, train=True, rng=np.random.default_rng(3))
+        got_grads = grads(got)
+        assert np.abs(got.data - want.data).max() < 1e-12
+        for (name, _), g, w in zip(params, got_grads, want_grads):
+            assert np.abs(g - w).max() < 1e-12, name
+        for br, (s1, s2) in zip(net.branches, states):
+            for st, ref in ((br.bn1_state, s1), (br.bn2_state, s2)):
+                assert np.abs(st.mean - ref.mean).max() < 1e-12
+                assert np.abs(st.var - ref.var).max() < 1e-12
+
+    @pytest.mark.parametrize("frontend", ["tconv_lp", "tconv_zp", "external_fir"])
+    def test_infer_matches_branch_loop(self, frontend):
+        net, batch = self._net_and_batch(frontend)
+        states = [(br.bn1_state, br.bn2_state) for br in net.branches]
+        want = branch_loop_forward(net, batch, False, None, states).data
+        with ad.no_grad():
+            got = net.forward(batch).data
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_branch_states_are_views_of_stage_states(self):
+        net = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
+        net.branches[2].bn2_state.mean += 1.0
+        assert np.array_equal(net.bn2_state.mean, np.repeat([0.0, 0.0, 1.0, 0.0], 4))
+
+
+class TestDecompose:
+    def test_matches_numpy_same_convolution(self):
+        net = build(NetworkConfig(frontend="external_fir", seed=0))
+        raw = np.random.default_rng(8).normal(size=(5, 2500))
+        want = np.empty((5, 4, 2500))
+        for bi, f in enumerate(net.bank.filters):
+            for r in range(5):
+                want[r, bi] = np.convolve(raw[r], f.coeffs, mode="same")
+        got = net.decompose(raw)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+        assert np.array_equal(net.decompose(raw[0]), got[:1])
+
+
 class TestBaselineEquivalence:
     def test_frozen_fir_tconv_equals_external_fir(self):
         rng = np.random.default_rng(21)
@@ -206,6 +285,38 @@ class TestCheckpoint:
             trunc.write_bytes(blob[:cut])
             with pytest.raises(CheckpointError):
                 load(str(trunc))
+
+    def test_huge_shape_field_rejected(self, tmp_path):
+        net = build(NetworkConfig(frontend="tconv_lp", init="fir_bank",
+                                  input_len=100, seed=0))
+        path = tmp_path / "m.ckpt"
+        save(net, str(path))
+        blob = bytearray(path.read_bytes())
+        # the first blob, frontend.half [4, 1, 31]: its first shape field
+        # follows magic, version, config, step, count, name length and name
+        (cfg_len,) = struct.unpack_from("<Q", blob, len(CKPT_MAGIC) + 4)
+        at = len(CKPT_MAGIC) + 4 + 8 + cfg_len + 8 + 4
+        (nlen,) = struct.unpack_from("<H", blob, at)
+        assert blob[at + 2:at + 2 + nlen] == b"frontend.half"
+        shape_at = at + 2 + nlen + 1
+        assert struct.unpack_from("<Q", blob, shape_at) == (4,)
+        struct.pack_into("<Q", blob, shape_at, 2 ** 62)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError):
+            load(str(path))
+
+    def test_wrong_blob_shape_rejected(self, tmp_path):
+        small = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
+        path = tmp_path / "m.ckpt"
+        save(small, str(path))
+        blob = bytearray(path.read_bytes())
+        name = b"branch0.w1"
+        shape_at = blob.index(name) + len(name) + 1
+        assert struct.unpack_from("<3Q", blob, shape_at) == (8, 1, 5)
+        struct.pack_into("<3Q", blob, shape_at, 4, 2, 5)   # same size, other shape
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError):
+            load(str(path))
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

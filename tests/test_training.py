@@ -57,9 +57,10 @@ class TestAdam:
         cfg = TrainConfig()
         assert cfg.lr0 == 0.0012843784
         assert cfg.lr_decay == 0.0001132885
-        assert cfg.dropout == 0.5
-        assert cfg.l2_conv == 0.0486
-        assert cfg.pool == 2
+        net = NetworkConfig()
+        assert net.dropout == 0.5
+        assert net.l2_conv == 0.0486
+        assert net.pool == 2
 
     def test_zero_gradient_leaves_params(self):
         p = ad.parameter(np.array([1.5, -2.0]))
@@ -287,3 +288,19 @@ class TestEvaluate:
         rep2 = evaluate(net, store, rng.permutation(val_idx), fold=0)
         assert (rep1.tp, rep1.tn, rep1.fp, rep1.fn) == (rep2.tp, rep2.tn, rep2.fp, rep2.fn)
         assert rep1.macc_pct == rep2.macc_pct
+
+    def test_prediction_builds_no_graph(self, monkeypatch):
+        store = toy_store()
+        net = toy_net(seed=4)
+        outputs = []
+        forward = net.forward
+
+        def recording_forward(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(net, "forward", recording_forward)
+        evaluate(net, store, np.arange(len(store)), fold=0)
+        assert outputs
+        assert all(o._parents == () and o._backward is None for o in outputs)
+        assert forward(store.samples[:2, None, :])._backward is not None
