@@ -492,14 +492,6 @@ class BatchNormState:
         out.var = self.var.copy()
         return out
 
-    def channels(self, start: int, stop: int) -> "BatchNormState":
-        """A state whose statistics are views of channels [start, stop):
-        in-place updates through either state show in both."""
-        out = BatchNormState(0)
-        out.mean = self.mean[start:stop]
-        out.var = self.var[start:stop]
-        return out
-
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 train: bool, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,

@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -190,6 +191,15 @@ def cmd_folds(args, argv) -> int:
 # --config keys, by the config object each one sets
 NETWORK_KEYS = ("dropout", "l2_conv", "pool", "input_len", "kernel_len")
 TRAIN_KEYS = ("lr0", "lr_decay", "batch_size", "epochs", "class_weights")
+# keys that take an integer; the rest but class_weights take any number
+INT_KEYS = ("pool", "input_len", "kernel_len", "batch_size", "epochs")
+
+
+def _is_number(value) -> bool:
+    """An int or a finite float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _read_config(path: str | None) -> dict:
@@ -204,6 +214,17 @@ def _read_config(path: str | None) -> dict:
     unknown = sorted(set(overrides) - set(NETWORK_KEYS) - set(TRAIN_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    for key, value in overrides.items():
+        if key in INT_KEYS:
+            ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        elif key == "class_weights":
+            ok = value is None or (isinstance(value, list) and len(value) == 2
+                                   and all(_is_number(v) and v > 0 for v in value))
+            want = "null or a list of two positive numbers"
+        else:
+            ok, want = _is_number(value), "a number"
+        if not ok:
+            raise ValueError(f"config key {key!r} in {path} must be {want}, got {value!r}")
     return overrides
 
 

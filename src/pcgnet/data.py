@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import Waveform, resample
+from .dsp import Waveform, next_pow2, resample
 from .errors import DataError, SegmentationError
 
 PIPELINE_RATE_HZ = 1000.0
@@ -33,6 +33,7 @@ PERIODICITY_MIN = 0.15      # min normalized envelope autocorrelation peak
 STORE_MAGIC = b"PCGCYC\x00\x01"
 
 TRAIN_ONLY_FOLD = -1        # recordings kept out of every validation set
+FOLDS = (TRAIN_ONLY_FOLD, 0, 1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,33 @@ def write_wav(path: str, x: Waveform) -> None:
         wf.writeframes(pcm.tobytes())
 
 
+def _manifest_rows(path: str, column: str) -> list[tuple[str, str]]:
+    """(id, value) pairs of a two-column CSV manifest; blank rows and an
+    `id,...` header are skipped. Any unreadable or short row is a DataError."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    out = []
+    for row in rows:
+        if not row or row[0].strip().lower() == "id":
+            continue
+        if len(row) < 2:
+            raise DataError(f"{path}: row {row!r} has no {column} column")
+        out.append((row[0].strip(), row[1].strip()))
+    if not out:
+        raise DataError(f"no {column}s found in {path}")
+    return out
+
+
 def read_label_manifest(path: str) -> dict[str, int]:
     """CSV `id,label` with label -1 (normal) / 1 (abnormal)."""
     out: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "id":
-                continue
-            rid, lab = row[0].strip(), row[1].strip()
-            if lab not in ("-1", "1"):
-                raise DataError(f"label for {rid} must be -1 or 1, got {lab!r}")
-            out[rid] = 1 if lab == "1" else 0
-    if not out:
-        raise DataError(f"no labels found in {path}")
+    for rid, lab in _manifest_rows(path, "label"):
+        if lab not in ("-1", "1"):
+            raise DataError(f"label for {rid} must be -1 or 1, got {lab!r}")
+        out[rid] = 1 if lab == "1" else 0
     return out
 
 
@@ -146,9 +161,7 @@ def _envelope(samples: np.ndarray, rate: float) -> np.ndarray:
 def _period_estimate(env: np.ndarray, rate: float) -> tuple[int, float]:
     centered = env - env.mean()
     n = centered.size
-    nfft = 1
-    while nfft < 2 * n:
-        nfft <<= 1
+    nfft = next_pow2(2 * n)
     spec = np.fft.rfft(centered, nfft)
     acorr = np.fft.irfft(spec * np.conj(spec), nfft)[:n]
     lo = int(round(rate * 60.0 / BPM_MAX))
@@ -265,14 +278,17 @@ def write_fold_manifest(path: str, assignment: dict[str, int]) -> None:
 
 
 def read_fold_manifest(path: str) -> dict[str, int]:
+    """CSV `id,fold` with fold 0..3 or TRAIN_ONLY_FOLD."""
     out: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "id":
-                continue
-            out[row[0].strip()] = int(row[1])
-    if not out:
-        raise DataError(f"no fold assignments in {path}")
+    for rid, text in _manifest_rows(path, "fold"):
+        try:
+            fold = int(text)
+        except ValueError:
+            fold = None
+        if fold not in FOLDS:
+            raise DataError(f"fold for {rid} must be one of "
+                            f"{', '.join(map(str, FOLDS))}, got {text!r}")
+        out[rid] = fold
     return out
 
 
@@ -400,10 +416,6 @@ class CycleStore:
         for rid, lab in zip(self.recording_ids, self.labels):
             out[rid] = int(lab)
         return out
-
-    def cycles_of(self, recording_id: str) -> np.ndarray:
-        idx = [i for i, r in enumerate(self.recording_ids) if r == recording_id]
-        return self.samples[idx]
 
     def save(self, path: str) -> None:
         meta = [{"recording_id": r, "label": int(l), "valid_len": int(v), "subset": s}

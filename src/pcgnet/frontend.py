@@ -10,12 +10,11 @@ so each band is literally an FIR filter applied to the raw waveform:
   zero_phase   - the free kernel applied forward and reversed, squaring
                  the magnitude response and cancelling the phase
 
-Initialization: a designed filter bank, zeros, or He-style Gaussians.
+`init_kernel` fills a kernel from a designed filter bank; the model's
+`build` makes the zeros and He-normal kernels.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,52 +22,25 @@ from . import autodiff as ad
 from .fir import FilterBank
 
 VARIANTS = ("free", "linear_phase", "zero_phase")
-INIT_KINDS = ("fir_bank", "random", "zeros", "he")
-
-DEFAULT_BANDS_OUT = 4
-DEFAULT_KERNEL_LEN = 61
 
 
-@dataclass
-class InitScheme:
-    """How to fill a front-end kernel tensor."""
+def init_kernel(bank: FilterBank, shape: tuple[int, int, int]) -> np.ndarray:
+    """A [bands, 1, k_len] front-end kernel holding a designed filter bank.
 
-    kind: str
-    rng_seed: int = 0
-    source_bank: FilterBank | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ValueError(f"unknown init kind {self.kind!r}")
-        if self.kind == "fir_bank" and self.source_bank is None:
-            raise ValueError("fir_bank init requires a source_bank")
-
-
-def init_kernel(scheme: InitScheme, shape: tuple[int, int, int]) -> np.ndarray:
-    """Build a [bands, 1, k_len] kernel array for a front-end layer.
-
-    fir_bank copies each designed filter's coefficients index-reversed into
-    its band (for the symmetric filters the bank designs, the reversal is
-    the identity). random/he draw Gaussians with std sqrt(2/fan_in).
+    Each filter's coefficients are copied index-reversed into its band (for
+    the symmetric filters the bank designs, the reversal is the identity).
     """
     bands, ch, k_len = shape
     if ch != 1:
         raise ValueError("front-end kernels are single input channel")
-    if scheme.kind == "zeros":
-        return np.zeros(shape)
-    if scheme.kind == "fir_bank":
-        filters = scheme.source_bank.filters
-        if len(filters) != bands:
-            raise ValueError(f"bank has {len(filters)} filters, layer needs {bands}")
-        out = np.empty(shape)
-        for i, f in enumerate(filters):
-            if f.coeffs.size != k_len:
-                raise ValueError(f"filter {i} length {f.coeffs.size} != kernel length {k_len}")
-            out[i, 0] = f.coeffs[::-1]
-        return out
-    rng = np.random.default_rng(scheme.rng_seed)
-    fan_in = ch * k_len
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    if len(bank.filters) != bands:
+        raise ValueError(f"bank has {len(bank.filters)} filters, layer needs {bands}")
+    out = np.empty(shape)
+    for i, f in enumerate(bank.filters):
+        if f.coeffs.size != k_len:
+            raise ValueError(f"filter {i} length {f.coeffs.size} != kernel length {k_len}")
+        out[i, 0] = f.coeffs[::-1]
+    return out
 
 
 class TConvLayer:
@@ -94,12 +66,6 @@ class TConvLayer:
             self.half = ad.Tensor(kernel[:, :, :half].copy(), requires_grad=self.trainable)
         else:
             self.kernel_param = ad.Tensor(kernel.copy(), requires_grad=self.trainable)
-
-    @classmethod
-    def from_scheme(cls, variant: str, scheme: InitScheme,
-                    bands: int = DEFAULT_BANDS_OUT, k_len: int = DEFAULT_KERNEL_LEN,
-                    trainable: bool = True) -> "TConvLayer":
-        return cls(variant, init_kernel(scheme, (bands, 1, k_len)), trainable=trainable)
 
     def materialized_kernel(self) -> ad.Tensor:
         """Full kernel as a graph node (mirroring the LP half if needed)."""

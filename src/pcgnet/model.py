@@ -6,11 +6,13 @@ conv(8 filters, k=5, valid) -> batchnorm -> relu -> dropout -> maxpool(2)
 Branch outputs are flattened, concatenated, and classified by a dense
 hidden layer of 20 relu units and one sigmoid output.
 
-The four branches run as one grouped stage: their parameters are
-concatenated per step and each stage is a single grouped convolution,
-batch-norm, relu, dropout and pool over [batch, 4*filters, length]. Each
-branch keeps its own parameter tensors (the checkpoint and the optimizer
-see them per branch); its batch-norm statistics are views of the stage's.
+The four branches run as two grouped stages. Each stage stores the
+parameters of all four branches stacked branch-major on the output
+channels (one kernel, bias, gamma and beta tensor, one set of running
+statistics) and is a single grouped convolution, batch-norm, relu,
+dropout and pool over [batch, 4*filters, length]. The checkpoint still
+stores each branch's arrays under its own names; `Network.branches` gives
+them as views of the stage arrays.
 
 The front-end is either one of the learnable band-splitting layers or
 "external_fir": the model then takes input already decomposed into four
@@ -26,7 +28,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +37,10 @@ from . import autodiff as ad
 from .dsp import next_pow2
 from .errors import CheckpointError
 from .fir import FilterBank, default_bank
-from .frontend import InitScheme, TConvLayer, init_kernel
+from .frontend import TConvLayer, init_kernel
 
 FRONTENDS = ("external_fir", "tconv_free", "tconv_lp", "tconv_zp")
+INITS = ("fir_bank", "random", "zeros")
 _VARIANT_OF = {"tconv_free": "free", "tconv_lp": "linear_phase", "tconv_zp": "zero_phase"}
 
 CKPT_MAGIC = b"PCGNET\x00\x01"
@@ -63,6 +67,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.frontend not in FRONTENDS:
             raise ValueError(f"unknown frontend {self.frontend!r}")
+        if self.init not in INITS:
+            raise ValueError(f"unknown init {self.init!r}; expected one of {', '.join(INITS)}")
         if self.frontend == "external_fir" and self.init == "zeros":
             raise ValueError("zeros init is meaningless for the external_fir frontend")
         if self.bands != 4 or self.branch_kernel != 5 or self.conv1_filters != 8 \
@@ -74,6 +80,10 @@ class NetworkConfig:
             raise ValueError("input_len must be >= 20")
         if self.pool < 1:
             raise ValueError("pool must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if not self.l2_conv >= 0.0:
+            raise ValueError(f"l2_conv must be >= 0, got {self.l2_conv!r}")
 
 
 def branch_feature_len(input_len: int, kernel: int = 5, pool: int = 2) -> int:
@@ -90,17 +100,38 @@ def flatten_width(cfg: NetworkConfig) -> int:
 
 
 @dataclass
+class _Stage:
+    """One grouped branch stage: the four branches' conv kernels [4*Co, Ci, k],
+    conv biases and batch-norm gamma/beta [4*Co], branch-major, and the
+    running statistics of its batch-norm."""
+    w: ad.Tensor
+    b: ad.Tensor
+    gamma: ad.Tensor
+    beta: ad.Tensor
+    state: ad.BatchNormState
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.w.data, self.b.data, self.gamma.data, self.beta.data,
+                self.state.mean, self.state.var)
+
+
+@dataclass
 class _Branch:
-    w1: ad.Tensor
-    b1: ad.Tensor
-    bn1_gamma: ad.Tensor
-    bn1_beta: ad.Tensor
-    bn1_state: ad.BatchNormState
-    w2: ad.Tensor
-    b2: ad.Tensor
-    bn2_gamma: ad.Tensor
-    bn2_beta: ad.Tensor
-    bn2_state: ad.BatchNormState
+    """One branch's slices of the two stages, as views. The field order is
+    the order of the branch's blobs in a checkpoint; a blob's name is its
+    field's, with the first underscore as a dot (bn1_gamma -> bn1.gamma)."""
+    w1: np.ndarray
+    b1: np.ndarray
+    bn1_gamma: np.ndarray
+    bn1_beta: np.ndarray
+    bn1_mean: np.ndarray
+    bn1_var: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+    bn2_gamma: np.ndarray
+    bn2_beta: np.ndarray
+    bn2_mean: np.ndarray
+    bn2_var: np.ndarray
 
 
 @dataclass
@@ -108,61 +139,59 @@ class Network:
     config: NetworkConfig
     frontend: TConvLayer | None
     bank: FilterBank | None        # used by the external_fir input path
-    branches: list[_Branch]
+    stage1: _Stage
+    stage2: _Stage
     head_w1: ad.Tensor
     head_b1: ad.Tensor
     head_w2: ad.Tensor
     head_b2: ad.Tensor
-    bn1_state: ad.BatchNormState    # stage-level statistics; the branch
-    bn2_state: ad.BatchNormState    # states are views of their channels
     step: int = 0
 
     # -- parameter bookkeeping -------------------------------------------
 
+    @cached_property
+    def branches(self) -> list[_Branch]:
+        """Per-branch views of the stage arrays; writes through a view
+        change the stage. Made once: the stage arrays are only ever
+        updated in place."""
+        out = []
+        for i in range(self.config.bands):
+            views = []
+            for stage in (self.stage1, self.stage2):
+                c = stage.b.data.size // self.config.bands
+                views.extend(a[i * c:(i + 1) * c] for a in stage.arrays())
+            out.append(_Branch(*views))
+        return out
+
     def parameters(self) -> list[tuple[str, ad.Tensor]]:
-        """Trainable parameters in a fixed, checkpoint-stable order."""
+        """Trainable parameters in a fixed order."""
         out: list[tuple[str, ad.Tensor]] = []
         if self.frontend is not None:
             out.extend(self.frontend.parameters())
-        for i, br in enumerate(self.branches):
-            out.extend([
-                (f"branch{i}.w1", br.w1), (f"branch{i}.b1", br.b1),
-                (f"branch{i}.bn1.gamma", br.bn1_gamma), (f"branch{i}.bn1.beta", br.bn1_beta),
-                (f"branch{i}.w2", br.w2), (f"branch{i}.b2", br.b2),
-                (f"branch{i}.bn2.gamma", br.bn2_gamma), (f"branch{i}.bn2.beta", br.bn2_beta),
-            ])
+        for name, st in (("stage1", self.stage1), ("stage2", self.stage2)):
+            out.extend([(f"{name}.w", st.w), (f"{name}.b", st.b),
+                        (f"{name}.gamma", st.gamma), (f"{name}.beta", st.beta)])
         out.extend([("head.w1", self.head_w1), ("head.b1", self.head_b1),
                     ("head.w2", self.head_w2), ("head.b2", self.head_b2)])
         return out
 
-    def conv_weights(self) -> list[ad.Tensor]:
-        """Branch convolution kernels (the L2-regularized set)."""
-        out = []
-        for br in self.branches:
-            out.extend([br.w1, br.w2])
-        return out
-
     def _blobs(self) -> list[tuple[str, np.ndarray]]:
-        """Every stored array: parameters, frozen kernels, running stats."""
+        """Every stored array in checkpoint order: front-end kernel,
+        per-branch parameters and running stats, head."""
         out: list[tuple[str, np.ndarray]] = []
         if self.frontend is not None:
             out.extend(self.frontend.state_arrays())
         for i, br in enumerate(self.branches):
-            out.extend([
-                (f"branch{i}.w1", br.w1.data), (f"branch{i}.b1", br.b1.data),
-                (f"branch{i}.bn1.gamma", br.bn1_gamma.data),
-                (f"branch{i}.bn1.beta", br.bn1_beta.data),
-                (f"branch{i}.bn1.mean", br.bn1_state.mean),
-                (f"branch{i}.bn1.var", br.bn1_state.var),
-                (f"branch{i}.w2", br.w2.data), (f"branch{i}.b2", br.b2.data),
-                (f"branch{i}.bn2.gamma", br.bn2_gamma.data),
-                (f"branch{i}.bn2.beta", br.bn2_beta.data),
-                (f"branch{i}.bn2.mean", br.bn2_state.mean),
-                (f"branch{i}.bn2.var", br.bn2_state.var),
-            ])
+            out.extend((f"branch{i}." + f.name.replace("_", ".", 1), getattr(br, f.name))
+                       for f in fields(br))
         out.extend([("head.w1", self.head_w1.data), ("head.b1", self.head_b1.data),
                     ("head.w2", self.head_w2.data), ("head.b2", self.head_b2.data)])
         return out
+
+    def restore(self, blobs: dict[str, np.ndarray]) -> None:
+        """Copy every stored array from `blobs` (name -> array) in place."""
+        for name, arr in self._blobs():
+            arr[...] = blobs[name]
 
     def zero_grad(self):
         for _, p in self.parameters():
@@ -203,12 +232,9 @@ class Network:
         if train and cfg.dropout > 0.0:
             keep1, keep2 = self._dropout_keep(n, bands.data.shape[-1], cfg.dropout, rng)
         h = bands
-        for stage, state, keep in ((1, self.bn1_state, keep1), (2, self.bn2_state, keep2)):
-            w, b, gamma, beta = (
-                ad.concat([getattr(br, name) for br in self.branches], axis=0)
-                for name in (f"w{stage}", f"b{stage}", f"bn{stage}_gamma", f"bn{stage}_beta"))
-            h = ad.conv1d(h, w, padding="valid", groups=cfg.bands)
-            h = ad.batchnorm1d(h, gamma, beta, state, train, bias=b)
+        for st, keep in ((self.stage1, keep1), (self.stage2, keep2)):
+            h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
+            h = ad.batchnorm1d(h, st.gamma, st.beta, st.state, train, bias=st.b)
             h = ad.relu(h)
             if train:
                 h = ad.dropout(h, cfg.dropout, train, rng, keep=keep)
@@ -237,12 +263,10 @@ class Network:
         return keep1, keep2
 
     def l2_penalty(self) -> ad.Tensor | None:
+        """L2 penalty on the branch convolution kernels."""
         if self.config.l2_conv == 0.0:
             return None
-        total = None
-        for w in self.conv_weights():
-            term = ad.sum_of_squares(w)
-            total = term if total is None else ad.add(total, term)
+        total = ad.add(ad.sum_of_squares(self.stage1.w), ad.sum_of_squares(self.stage2.w))
         return ad.scale(total, self.config.l2_conv)
 
     def decompose(self, raw: np.ndarray) -> np.ndarray:
@@ -284,56 +308,45 @@ def build(config: NetworkConfig, bank: FilterBank | None = None) -> Network:
     streams = np.random.SeedSequence(cfg.seed).spawn(6)
     k = cfg.branch_kernel
 
+    if bank is None and (cfg.init == "fir_bank" or cfg.frontend == "external_fir"):
+        bank = default_bank(1000.0, cfg.kernel_len - 1)
     frontend = None
     if cfg.frontend != "external_fir":
         shape = (cfg.bands, 1, cfg.kernel_len)
         if cfg.init == "fir_bank":
-            if bank is None:
-                bank = default_bank(1000.0, cfg.kernel_len - 1)
-            kern = init_kernel(InitScheme("fir_bank", source_bank=bank), shape)
+            kern = init_kernel(bank, shape)
         elif cfg.init == "zeros":
             kern = np.zeros(shape)
-        elif cfg.init in ("random", "he"):
-            rng0 = np.random.default_rng(streams[0])
-            kern = _he_normal(rng0, shape, fan_in=cfg.kernel_len)
         else:
-            raise ValueError(f"unknown init {cfg.init!r}")
+            kern = _he_normal(np.random.default_rng(streams[0]), shape, cfg.kernel_len)
         frontend = TConvLayer(_VARIANT_OF[cfg.frontend], kern, trainable=cfg.frontend_trainable)
-    else:
-        if bank is None:
-            bank = default_bank(1000.0, cfg.kernel_len - 1)
 
+    # each branch draws its kernels from its own stream, then the stages
+    # stack them branch-major
     c1, c2 = cfg.conv1_filters, cfg.conv2_filters
-    bn1_state = ad.BatchNormState(cfg.bands * c1)
-    bn2_state = ad.BatchNormState(cfg.bands * c2)
-    branches = []
+    w1, w2 = [], []
     for i in range(cfg.bands):
         rng = np.random.default_rng(streams[1 + i])
-        branches.append(_Branch(
-            w1=ad.parameter(_he_normal(rng, (cfg.conv1_filters, 1, k), 1 * k)),
-            b1=ad.parameter(np.zeros(cfg.conv1_filters)),
-            bn1_gamma=ad.parameter(np.ones(cfg.conv1_filters)),
-            bn1_beta=ad.parameter(np.zeros(cfg.conv1_filters)),
-            bn1_state=bn1_state.channels(i * c1, (i + 1) * c1),
-            w2=ad.parameter(_he_normal(rng, (cfg.conv2_filters, cfg.conv1_filters, k),
-                                       cfg.conv1_filters * k)),
-            b2=ad.parameter(np.zeros(cfg.conv2_filters)),
-            bn2_gamma=ad.parameter(np.ones(cfg.conv2_filters)),
-            bn2_beta=ad.parameter(np.zeros(cfg.conv2_filters)),
-            bn2_state=bn2_state.channels(i * c2, (i + 1) * c2),
-        ))
+        w1.append(_he_normal(rng, (c1, 1, k), k))
+        w2.append(_he_normal(rng, (c2, c1, k), c1 * k))
 
     rng = np.random.default_rng(streams[5])
     width = flatten_width(cfg)
-    net = Network(
-        config=cfg, frontend=frontend, bank=bank, branches=branches,
+    return Network(
+        config=cfg, frontend=frontend, bank=bank,
+        stage1=_stage(np.concatenate(w1)), stage2=_stage(np.concatenate(w2)),
         head_w1=ad.parameter(_he_normal(rng, (width, cfg.hidden), width)),
         head_b1=ad.parameter(np.zeros(cfg.hidden)),
         head_w2=ad.parameter(_he_normal(rng, (cfg.hidden, 1), cfg.hidden)),
         head_b2=ad.parameter(np.zeros(1)),
-        bn1_state=bn1_state, bn2_state=bn2_state,
     )
-    return net
+
+
+def _stage(w: np.ndarray) -> _Stage:
+    c = w.shape[0]
+    return _Stage(w=ad.parameter(w), b=ad.parameter(np.zeros(c)),
+                  gamma=ad.parameter(np.ones(c)), beta=ad.parameter(np.zeros(c)),
+                  state=ad.BatchNormState(c))
 
 
 def aggregate_recording(cycle_probs) -> tuple[float, int]:
@@ -429,7 +442,7 @@ def load(path: str) -> Network:
         if blobs[name].shape != arr.shape:
             raise CheckpointError(f"blob {name} has shape {blobs[name].shape}, "
                                   f"expected {arr.shape}")
-    _restore(net, blobs)
+    net.restore(blobs)
     net.step = step
     return net
 
@@ -440,26 +453,3 @@ def _check_room(fh, size: int, n_bytes: int, what: str) -> None:
     if n_bytes > left:
         raise CheckpointError(f"corrupt checkpoint: {what} needs {n_bytes} bytes, "
                               f"{left} left")
-
-
-def _restore(net: Network, blobs: dict[str, np.ndarray]) -> None:
-    if net.frontend is not None:
-        for name, arr in net.frontend.state_arrays():
-            arr[...] = blobs[name]
-    for i, br in enumerate(net.branches):
-        br.w1.data[...] = blobs[f"branch{i}.w1"]
-        br.b1.data[...] = blobs[f"branch{i}.b1"]
-        br.bn1_gamma.data[...] = blobs[f"branch{i}.bn1.gamma"]
-        br.bn1_beta.data[...] = blobs[f"branch{i}.bn1.beta"]
-        br.bn1_state.mean[...] = blobs[f"branch{i}.bn1.mean"]
-        br.bn1_state.var[...] = blobs[f"branch{i}.bn1.var"]
-        br.w2.data[...] = blobs[f"branch{i}.w2"]
-        br.b2.data[...] = blobs[f"branch{i}.b2"]
-        br.bn2_gamma.data[...] = blobs[f"branch{i}.bn2.gamma"]
-        br.bn2_beta.data[...] = blobs[f"branch{i}.bn2.beta"]
-        br.bn2_state.mean[...] = blobs[f"branch{i}.bn2.mean"]
-        br.bn2_state.var[...] = blobs[f"branch{i}.bn2.var"]
-    net.head_w1.data[...] = blobs["head.w1"]
-    net.head_b1.data[...] = blobs["head.b1"]
-    net.head_w2.data[...] = blobs["head.w2"]
-    net.head_b2.data[...] = blobs["head.b2"]

@@ -295,16 +295,10 @@ def train_fold(net: Network, store: CycleStore, folds: dict[str, int], fold: int
         if report.macc_pct > best_macc:
             best_macc = report.macc_pct
             best_snapshot = _snapshot(net)
-    _restore_snapshot(net, best_snapshot)
+    best_blobs, net.step = best_snapshot
+    net.restore(best_blobs)
     return net, history
 
 
-def _snapshot(net: Network) -> dict:
-    blobs = {name: arr.copy() for name, arr in net._blobs()}
-    return {"blobs": blobs, "step": net.step}
-
-
-def _restore_snapshot(net: Network, snap: dict) -> None:
-    for name, arr in net._blobs():
-        arr[...] = snap["blobs"][name]
-    net.step = snap["step"]
+def _snapshot(net: Network) -> tuple[dict[str, np.ndarray], int]:
+    return {name: arr.copy() for name, arr in net._blobs()}, net.step

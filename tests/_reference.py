@@ -56,14 +56,34 @@ def std_tolerance(displayed: float) -> float:
     return 0.5 * 10.0 ** (-decimals) + 1e-9
 
 
+def branch_states(net):
+    """Copies of each branch's (stage-1, stage-2) running statistics, as
+    BatchNormState pairs for branch_loop_forward."""
+    import pcgnet.autodiff as ad
+
+    out = []
+    for br in net.branches:
+        pair = []
+        for mean, var in ((br.bn1_mean, br.bn1_var), (br.bn2_mean, br.bn2_var)):
+            st = ad.BatchNormState(mean.size)
+            st.mean[...] = mean
+            st.var[...] = var
+            pair.append(st)
+        out.append(tuple(pair))
+    return out
+
+
 def branch_loop_forward(net, batch, train=False, rng=None, states=None):
     """Network.forward rebuilt as one op chain per branch, the way the
     grouped branch stage is defined: slice -> conv -> add_channel_bias ->
     batch-norm -> relu -> dropout -> pool, twice, for each band in turn.
-    The zero-phase front-end's reverse pass is likewise one conv per band.
+    Each branch's parameters are slices of the stage tensors, so their
+    gradients land on the stage parameters. The zero-phase front-end's
+    reverse pass is likewise one conv per band.
 
     `states` is a list of (stage-1, stage-2) BatchNormState pairs, one per
-    branch, so the network's own running statistics stay untouched.
+    branch (see branch_states), so the network's own running statistics
+    stay untouched.
     """
     import pcgnet.autodiff as ad
 
@@ -81,11 +101,12 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
                 parts.append(ad.flip_time(ad.conv1d(ad.flip_time(zb), kb, padding="same")))
             x = ad.concat(parts, axis=1)
     feats = []
-    for i, br in enumerate(net.branches):
+    for i in range(cfg.bands):
         h = ad.slice_channels(x, i, i + 1)
-        for w, b, gamma, beta, state in (
-                (br.w1, br.b1, br.bn1_gamma, br.bn1_beta, states[i][0]),
-                (br.w2, br.b2, br.bn2_gamma, br.bn2_beta, states[i][1])):
+        for stage, state in ((net.stage1, states[i][0]), (net.stage2, states[i][1])):
+            c = stage.b.data.size // cfg.bands
+            w, b, gamma, beta = (ad.slice_axis(p, 0, i * c, (i + 1) * c)
+                                 for p in (stage.w, stage.b, stage.gamma, stage.beta))
             h = ad.conv1d(h, w, padding="valid")
             h = ad.add_channel_bias(h, b)
             h = ad.batchnorm1d(h, gamma, beta, state, train)

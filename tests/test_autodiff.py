@@ -370,15 +370,6 @@ class TestBatchnorm:
             ad.backward(f())
             assert bias.grad is None
 
-    def test_channel_views_share_statistics(self):
-        x = np.random.default_rng(6).normal(5.0, 2.0, size=(8, 2, 10))
-        st = ad.BatchNormState(6)
-        part = st.channels(2, 4)
-        ad.batchnorm1d(ad.tensor(x), ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), part, True)
-        assert np.array_equal(st.mean[2:4], part.mean)
-        assert np.abs(part.mean - 0.1 * x.mean(axis=(0, 2))).max() < 1e-12
-        assert np.array_equal(st.mean[[0, 1, 4, 5]], np.zeros(4))
-
 
 class TestDropout:
     def test_rate_zero_identity(self):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from pcgnet.cli import main
 from pcgnet.data import CycleStore, read_fold_manifest
 from pcgnet.fir import bank_from_json, default_bank, frequency_response
-from pcgnet.model import NetworkConfig, build, load, save
+from pcgnet.model import CKPT_MAGIC, NetworkConfig, build, load, save
 
 from _reference import REFERENCE_ROWS
 
@@ -97,6 +98,33 @@ class TestSynthIngestFolds:
                      "--out", str(tmp_path / "o")]) == 3
 
 
+    @pytest.mark.parametrize("text", [None, "id,label\nrec1\n"])
+    def test_bad_label_manifest_is_data_error(self, pipeline, tmp_path, capsys, text):
+        labels = tmp_path / "labels.csv"
+        if text is not None:
+            labels.write_text(text)
+        capsys.readouterr()
+        assert main(["ingest", "--wav-dir", str(pipeline / "data" / "wav"),
+                     "--labels", str(labels), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
+    @pytest.mark.parametrize("row", [None, "{rid}", "{rid},x", "{rid},9"])
+    def test_bad_fold_manifest_is_data_error(self, pipeline, tmp_path, capsys, row):
+        folds = tmp_path / "folds.csv"
+        if row is not None:
+            # the pipeline's manifest with its first assignment broken
+            lines = (pipeline / "folds" / "folds.csv").read_text().splitlines()
+            lines[1] = row.format(rid=lines[1].split(",")[0])
+            folds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(folds), "--fold", "0", "--epochs", "1",
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
+
 class TestTrainEval:
     def test_train_eval_round(self, pipeline, tmp_path):
         run = tmp_path / "run"
@@ -166,6 +194,43 @@ class TestTrainEval:
                      "--fold", "0", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "run")]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", "x"), ("epochs", True), ("batch_size", 1.5), ("pool", None),
+        ("dropout", "x"), ("dropout", 1.0), ("lr0", [0.1]), ("l2_conv", -0.5),
+        ("class_weights", [1.0]), ("class_weights", [1.0, 0.0]), ("class_weights", "x"),
+    ])
+    def test_bad_config_value_is_usage_error(self, pipeline, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        capsys.readouterr()
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0",
+                     "--epochs", "1", "--batch-size", "16", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+    def test_checkpoint_with_unknown_init_is_data_error(self, pipeline, tmp_path, capsys):
+        net = build(NetworkConfig(frontend="tconv_lp", init="random"))
+        ckpt = tmp_path / "m.ckpt"
+        save(net, str(ckpt))
+        blob = ckpt.read_bytes()
+        at = len(CKPT_MAGIC) + 4
+        (n,) = struct.unpack_from("<Q", blob, at)
+        cfg = json.loads(blob[at + 8:at + 8 + n])
+        cfg["init"] = "he"
+        text = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+        ckpt.write_bytes(blob[:at] + struct.pack("<Q", len(text)) + text + blob[at + 8 + n:])
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt),
+                     "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "0", "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "he" in err[0]
 
 
 class TestReport:

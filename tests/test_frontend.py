@@ -4,8 +4,9 @@ import pytest
 import pcgnet.autodiff as ad
 from pcgnet.dsp import Waveform
 from pcgnet.fir import apply_fir, default_bank
-from pcgnet.frontend import InitScheme, TConvLayer, init_kernel
+from pcgnet.frontend import TConvLayer, init_kernel
 from pcgnet.gradcheck import analytic_gradient, numeric_gradient, relative_error
+from pcgnet.model import NetworkConfig, _he_normal, build
 
 
 def center_delta_kernel(bands=4, k_len=61):
@@ -17,30 +18,36 @@ def center_delta_kernel(bands=4, k_len=61):
 class TestInitKernel:
     def test_fir_bank_copies_reversed(self):
         bank = default_bank(1000.0, 60)
-        kern = init_kernel(InitScheme("fir_bank", source_bank=bank), (4, 1, 61))
+        kern = init_kernel(bank, (4, 1, 61))
         for b, f in enumerate(bank.filters):
             assert np.array_equal(kern[b, 0], f.coeffs[::-1])
             # designed filters are symmetric, so this equals the coefficients
             assert np.array_equal(kern[b, 0], f.coeffs)
 
     def test_zeros(self):
-        kern = init_kernel(InitScheme("zeros"), (4, 1, 61))
-        assert not kern.any()
+        net = build(NetworkConfig(frontend="tconv_free", init="zeros", input_len=100))
+        assert not net.frontend.kernel_param.data.any()
 
     def test_he_std(self):
-        kern = init_kernel(InitScheme("he", rng_seed=7), (100_000 // 61 + 1, 1, 61))
+        # build's random init: He-normal, std sqrt(2 / kernel_len)
+        kern = _he_normal(np.random.default_rng(7), (100_000 // 61 + 1, 1, 61), 61)
         flat = kern.reshape(-1)[:100_000]
         want = np.sqrt(2.0 / 61.0)
         assert abs(flat.std() - want) / want < 0.02
+        net = build(NetworkConfig(frontend="tconv_free", init="random", input_len=100, seed=7))
+        stream = np.random.SeedSequence(7).spawn(6)[0]
+        assert np.array_equal(net.frontend.kernel_param.data,
+                              _he_normal(np.random.default_rng(stream), (4, 1, 61), 61))
 
     def test_fir_bank_length_mismatch_rejected(self):
         bank = default_bank(1000.0, 60)
         with pytest.raises(ValueError):
-            init_kernel(InitScheme("fir_bank", source_bank=bank), (4, 1, 31))
+            init_kernel(bank, (4, 1, 31))
 
-    def test_fir_bank_requires_bank(self):
+    def test_fir_bank_count_mismatch_rejected(self):
+        bank = default_bank(1000.0, 60)
         with pytest.raises(ValueError):
-            InitScheme("fir_bank")
+            init_kernel(bank, (3, 1, 61))
 
 
 class TestFreeVariant:
@@ -58,8 +65,7 @@ class TestFreeVariant:
         rng = np.random.default_rng(1)
         x = rng.normal(size=2500)
         bank = default_bank(1000.0, 60)
-        layer = TConvLayer.from_scheme(
-            "free", InitScheme("fir_bank", source_bank=bank), trainable=False)
+        layer = TConvLayer("free", init_kernel(bank, (4, 1, 61)), trainable=False)
         out = layer.forward(ad.tensor(x[None, None, :])).data[0]
         for b, f in enumerate(bank.filters):
             causal = apply_fir(f, Waveform(x, 1000.0)).samples
@@ -123,8 +129,7 @@ class TestLinearPhaseVariant:
 
     def test_fir_init_reconstructs_designed_filters(self):
         bank = default_bank(1000.0, 60)
-        layer = TConvLayer.from_scheme("linear_phase",
-                                       InitScheme("fir_bank", source_bank=bank))
+        layer = TConvLayer("linear_phase", init_kernel(bank, (4, 1, 61)))
         kern = layer.materialized_kernel().data
         for b, f in enumerate(bank.filters):
             assert np.array_equal(kern[b, 0], f.coeffs)

@@ -1,4 +1,5 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pcgnet.errors import CheckpointError
 from pcgnet.model import (CKPT_MAGIC, Network, NetworkConfig, aggregate_recording,
                           branch_feature_len, build, flatten_width, load, save)
 
-from _reference import branch_loop_forward
+from _reference import branch_loop_forward, branch_states
 
 
 def shape_oracle(input_len, kernel=5, pool=2):
@@ -100,6 +101,12 @@ class TestBuild:
             NetworkConfig(input_len=19)
         with pytest.raises(ValueError):
             NetworkConfig(hidden=21)
+        with pytest.raises(ValueError):
+            NetworkConfig(frontend="tconv_free", init="he")
+        for bad in ({"dropout": 1.0}, {"dropout": -0.1}, {"l2_conv": -1e-3},
+                    {"l2_conv": float("nan")}):
+            with pytest.raises(ValueError):
+                NetworkConfig(**bad)
 
 
 class TestForward:
@@ -156,12 +163,10 @@ class TestGroupedStage:
         net = build(NetworkConfig(frontend=frontend, init=init, input_len=300, seed=12))
         rng = np.random.default_rng(40)
         # nonzero biases and running statistics, so the folding is exercised
-        for br in net.branches:
-            for b in (br.b1, br.b2):
-                b.data[...] = rng.normal(size=b.data.shape)
-        for st in (net.bn1_state, net.bn2_state):
-            st.mean[...] = rng.normal(size=st.mean.shape)
-            st.var[...] = rng.uniform(0.5, 2.0, size=st.var.shape)
+        for stage in (net.stage1, net.stage2):
+            stage.b.data[...] = rng.normal(size=stage.b.data.shape)
+            stage.state.mean[...] = rng.normal(size=stage.state.mean.shape)
+            stage.state.var[...] = rng.uniform(0.5, 2.0, size=stage.state.var.shape)
         raw = rng.normal(size=(6, 300))
         batch = net.decompose(raw) if frontend == "external_fir" else raw[:, None, :]
         return net, batch
@@ -172,7 +177,7 @@ class TestGroupedStage:
         net, batch = self._net_and_batch(frontend)
         labels = np.array([1, 0, 1, 0, 1, 1])
         weights = np.linspace(0.5, 1.5, 6)
-        states = [(br.bn1_state.copy(), br.bn2_state.copy()) for br in net.branches]
+        states = branch_states(net)
         params = net.parameters()
 
         def grads(pred):
@@ -189,23 +194,22 @@ class TestGroupedStage:
         for (name, _), g, w in zip(params, got_grads, want_grads):
             assert np.abs(g - w).max() < 1e-12, name
         for br, (s1, s2) in zip(net.branches, states):
-            for st, ref in ((br.bn1_state, s1), (br.bn2_state, s2)):
-                assert np.abs(st.mean - ref.mean).max() < 1e-12
-                assert np.abs(st.var - ref.var).max() < 1e-12
+            for mean, var, ref in ((br.bn1_mean, br.bn1_var, s1), (br.bn2_mean, br.bn2_var, s2)):
+                assert np.abs(mean - ref.mean).max() < 1e-12
+                assert np.abs(var - ref.var).max() < 1e-12
 
     @pytest.mark.parametrize("frontend", ["tconv_lp", "tconv_zp", "external_fir"])
     def test_infer_matches_branch_loop(self, frontend):
         net, batch = self._net_and_batch(frontend)
-        states = [(br.bn1_state, br.bn2_state) for br in net.branches]
-        want = branch_loop_forward(net, batch, False, None, states).data
+        want = branch_loop_forward(net, batch, False, None, branch_states(net)).data
         with ad.no_grad():
             got = net.forward(batch).data
         assert np.abs(got - want).max() < 1e-12
 
     def test_branch_states_are_views_of_stage_states(self):
         net = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
-        net.branches[2].bn2_state.mean += 1.0
-        assert np.array_equal(net.bn2_state.mean, np.repeat([0.0, 0.0, 1.0, 0.0], 4))
+        net.branches[2].bn2_mean += 1.0
+        assert np.array_equal(net.stage2.state.mean, np.repeat([0.0, 0.0, 1.0, 0.0], 4))
 
 
 class TestDecompose:
@@ -263,7 +267,7 @@ class TestCheckpoint:
         net = build(NetworkConfig(frontend="tconv_lp", init="fir_bank",
                                   input_len=300, seed=6))
         # perturb running stats and step so they must survive the trip
-        net.branches[0].bn1_state.mean += 0.25
+        net.branches[0].bn1_mean += 0.25
         net.step = 17
         x = np.random.default_rng(5).normal(size=(2, 1, 300))
         before = net.forward(x).data
@@ -274,6 +278,25 @@ class TestCheckpoint:
         assert np.array_equal(again.forward(x).data, before)
         for (na, pa), (nb, pb) in zip(net._blobs(), again._blobs()):
             assert na == nb and np.array_equal(pa, pb)
+
+    def test_layout_of_committed_checkpoint(self, tmp_path):
+        # written by an earlier version of the model code, with distinct
+        # values in every array: it must load and re-save to the same bytes
+        fixture = Path(__file__).parent / "data" / "lp_len20.ckpt"
+        net = load(str(fixture))
+        assert net.step == 37
+        path = tmp_path / "again.ckpt"
+        save(net, str(path))
+        assert path.read_bytes() == fixture.read_bytes()
+        branch = [("w1", (8, 1, 5)), ("b1", (8,)), ("bn1.gamma", (8,)), ("bn1.beta", (8,)),
+                  ("bn1.mean", (8,)), ("bn1.var", (8,)), ("w2", (4, 8, 5)), ("b2", (4,)),
+                  ("bn2.gamma", (4,)), ("bn2.beta", (4,)), ("bn2.mean", (4,)),
+                  ("bn2.var", (4,))]
+        layout = ([("frontend.half", (4, 1, 31))]
+                  + [(f"branch{i}.{name}", shape) for i in range(4) for name, shape in branch]
+                  + [("head.w1", (32, 20)), ("head.b1", (20,)), ("head.w2", (20, 1)),
+                     ("head.b2", (1,))])
+        assert [(name, arr.shape) for name, arr in net._blobs()] == layout
 
     def test_truncated_file_rejected(self, tmp_path):
         net = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
@@ -342,13 +365,14 @@ class TestL2Penalty:
     def test_applies_to_branch_convs_only(self):
         net = build(NetworkConfig(frontend="tconv_free", init="random",
                                   input_len=100, seed=2))
-        expected = sum((w.data ** 2).sum() for w in net.conv_weights())
-        assert abs(float(net.l2_penalty().data) - 0.0486 * expected) < 1e-12
+        expected = sum((br.w1 ** 2).sum() + (br.w2 ** 2).sum() for br in net.branches)
+        pen = net.l2_penalty()
+        assert abs(float(pen.data) - 0.0486 * expected) < 1e-12
         # front-end kernel, biases and dense weights are not in the set
-        regulated = {id(w) for w in net.conv_weights()}
-        assert id(net.frontend.kernel_param) not in regulated
-        assert id(net.head_w1) not in regulated
-        assert len(regulated) == 8  # two conv kernels per branch
+        net.zero_grad()
+        ad.backward(pen)
+        regulated = {name for name, p in net.parameters() if p.grad is not None}
+        assert regulated == {"stage1.w", "stage2.w"}
 
     def test_gradient_is_2_lambda_w(self):
         import pcgnet.autodiff as ad
@@ -356,5 +380,5 @@ class TestL2Penalty:
         pen = net.l2_penalty()
         net.zero_grad()
         ad.backward(pen)
-        w = net.branches[0].w1
-        assert np.abs(w.grad - 2 * 0.0486 * w.data).max() < 1e-12
+        for w in (net.stage1.w, net.stage2.w):
+            assert np.abs(w.grad - 2 * 0.0486 * w.data).max() < 1e-12

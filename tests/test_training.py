@@ -249,7 +249,7 @@ class TestTrainFold:
     def test_nan_loss_aborts_with_diagnostics(self):
         store = toy_store()
         net = toy_net()
-        net.branches[0].w1.data *= 1e200  # poison: L2 penalty overflows
+        net.branches[0].w1 *= 1e200  # poison: L2 penalty overflows
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalAbort, match=r"epoch 0, batch 0.*lr"):
                 train_fold(net, store, toy_folds(store), 0, fast_cfg(epochs=1))
