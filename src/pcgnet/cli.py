@@ -189,10 +189,10 @@ def cmd_folds(args, argv) -> int:
 
 
 # --config keys, by the config object each one sets
-NETWORK_KEYS = ("dropout", "l2_conv", "pool", "input_len", "kernel_len")
+NETWORK_KEYS = ("dropout", "l2_conv", "pool", "kernel_len")
 TRAIN_KEYS = ("lr0", "lr_decay", "batch_size", "epochs", "class_weights")
 # keys that take an integer; the rest but class_weights take any number
-INT_KEYS = ("pool", "input_len", "kernel_len", "batch_size", "epochs")
+INT_KEYS = ("pool", "kernel_len", "batch_size", "epochs")
 
 
 def _is_number(value) -> bool:
@@ -228,14 +228,12 @@ def _read_config(path: str | None) -> dict:
     return overrides
 
 
-def _network_config(args, overrides: dict) -> mdl.NetworkConfig:
-    frontend = FRONTEND_ALIASES[args.frontend]
-    if frontend == "external_fir" and args.init == "zeros":
-        raise ValueError("zeros init makes no sense for the baseline frontend")
+def _network_config(args, overrides: dict, input_len: int) -> mdl.NetworkConfig:
     fields = {
-        "frontend": frontend,
+        "frontend": FRONTEND_ALIASES[args.frontend],
         "init": INIT_ALIASES[args.init],
         "frontend_trainable": args.trainable,
+        "input_len": input_len,
         "seed": args.seed,
     }
     fields.update((k, v) for k, v in overrides.items() if k in NETWORK_KEYS)
@@ -269,9 +267,10 @@ def config_name(cfg: mdl.NetworkConfig) -> str:
 def cmd_train(args, argv) -> int:
     overrides = _read_config(args.config)
     out = _out_dir(args.out)
-    net_cfg = _network_config(args, overrides)
     train_cfg = _train_config(args, overrides)
     store = dat.CycleStore.load(args.cycles)
+    # the network's input length is the store's cycle length
+    net_cfg = _network_config(args, overrides, store.samples.shape[1])
     folds = dat.read_fold_manifest(args.folds)
     net = mdl.build(net_cfg)
     net, history = trn.train_fold(net, store, folds, args.fold, train_cfg)

@@ -429,6 +429,10 @@ class CycleStore:
 
     @classmethod
     def load(cls, path: str) -> "CycleStore":
+        """Read a store written by `save`. Anything malformed is a DataError:
+        a short file, no cycles, non-finite samples, or a metadata row
+        without a string `recording_id`, a 0/1 `label` and an integer
+        `valid_len` in [MIN_CYCLE_LEN, cycle length]."""
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -437,20 +441,48 @@ class CycleStore:
         head = len(STORE_MAGIC)
         if blob[:head] != STORE_MAGIC:
             raise DataError(f"{path} is not a cycle store")
-        n, dim = struct.unpack_from("<QQ", blob, head)
         body = head + 16
+        if len(blob) < body:
+            raise DataError(f"{path} is truncated")
+        n, dim = struct.unpack_from("<QQ", blob, head)
+        if n == 0:
+            raise DataError(f"{path} holds no cycles")
         nbytes = 8 * n * dim
         if len(blob) < body + nbytes:
             raise DataError(f"{path} is truncated")
-        samples = np.frombuffer(blob[body:body + nbytes], dtype="<f8").reshape(n, dim).copy()
+        samples = np.frombuffer(blob, dtype="<f8", count=n * dim, offset=body)
+        samples = samples.reshape(n, dim).copy()
+        if not np.isfinite(samples).all():
+            raise DataError(f"{path}: non-finite samples")
         try:
             meta = json.loads(blob[body + nbytes:].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: bad metadata trailer ({e})") from None
-        if len(meta) != n:
-            raise DataError(f"{path}: metadata rows ({len(meta)}) != cycle count ({n})")
+        if not isinstance(meta, list) or len(meta) != n:
+            raise DataError(f"{path}: metadata is not a list of {n} cycle rows")
+        for i, m in enumerate(meta):
+            problem = _store_row_problem(m, dim)
+            if problem:
+                raise DataError(f"{path}: metadata row {i}: {problem}")
         return cls(samples=samples,
                    recording_ids=[m["recording_id"] for m in meta],
                    labels=np.array([m["label"] for m in meta], dtype=int),
                    valid_lens=np.array([m["valid_len"] for m in meta], dtype=int),
                    subsets=[m.get("subset", "unknown") for m in meta])
+
+
+def _store_row_problem(row, cycle_len: int) -> str | None:
+    """What is wrong with one cycle store metadata row, or None."""
+    if not isinstance(row, dict):
+        return "not an object"
+    for key, kind in (("recording_id", str), ("label", int), ("valid_len", int)):
+        value = row.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"{key!r} missing or not {kind.__name__}"
+    if not isinstance(row.get("subset", ""), str):
+        return "'subset' not str"
+    if row["label"] not in (0, 1):
+        return f"label {row['label']} not 0 or 1"
+    if not MIN_CYCLE_LEN <= row["valid_len"] <= cycle_len:
+        return f"valid_len {row['valid_len']} outside [{MIN_CYCLE_LEN}, {cycle_len}]"
+    return None

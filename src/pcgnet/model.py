@@ -14,11 +14,12 @@ dropout and pool over [batch, 4*filters, length]. The checkpoint still
 stores each branch's arrays under its own names; `Network.branches` gives
 them as views of the stage arrays.
 
-The front-end is either one of the learnable band-splitting layers or
-"external_fir": the model then takes input already decomposed into four
-bands by a fixed filter bank, aligned the same way the conv front-end
-aligns its output (centered, not causal), so a frozen fir-initialized
-front-end and the external decomposition produce identical probabilities.
+Every network takes raw cycles [batch, input_len]. The front-end is either
+one of the learnable band-splitting layers or "external_fir": the network
+then splits the cycles into four bands with a fixed filter bank
+(`Network.decompose`), aligned the same way the conv front-end aligns its
+output (centered, not causal), so a frozen fir-initialized front-end and the
+external decomposition produce identical probabilities.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
+from .data import CYCLE_LEN, PIPELINE_RATE_HZ
 from .dsp import next_pow2
 from .errors import CheckpointError
 from .fir import FilterBank, default_bank
@@ -61,7 +63,7 @@ class NetworkConfig:
     hidden: int = 20
     dropout: float = 0.5
     l2_conv: float = 0.0486
-    input_len: int = 2500
+    input_len: int = CYCLE_LEN
     seed: int = 0
 
     def __post_init__(self):
@@ -138,7 +140,7 @@ class _Branch:
 class Network:
     config: NetworkConfig
     frontend: TConvLayer | None
-    bank: FilterBank | None        # used by the external_fir input path
+    bank: FilterBank | None        # used by the external_fir decomposition
     stage1: _Stage
     stage2: _Stage
     head_w1: ad.Tensor
@@ -202,32 +204,23 @@ class Network:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, batch: np.ndarray, train: bool = False,
+    def forward(self, cycles: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ad.Tensor:
-        """Per-cycle abnormality probabilities, shape [batch].
-
-        For the external_fir frontend `batch` must be pre-decomposed
-        [batch, 4, input_len]; for conv front-ends it is raw
-        [batch, 1, input_len] (a [batch, input_len] array is accepted and
-        expanded).
-        """
+        """Per-cycle abnormality probabilities, shape [batch], from raw
+        cycles [batch, input_len], whatever the front-end."""
         cfg = self.config
         if train and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
-        batch = np.asarray(batch, dtype=np.float64)
+        cycles = np.asarray(cycles, dtype=np.float64)
+        if cycles.ndim != 2 or cycles.shape[1] != cfg.input_len:
+            raise ValueError(f"expected raw cycles [batch, {cfg.input_len}], "
+                             f"got {cycles.shape}")
         if self.frontend is None:
-            if batch.ndim != 3 or batch.shape[1] != cfg.bands:
-                raise ValueError(f"external_fir expects [batch, {cfg.bands}, L], "
-                                 f"got {batch.shape}")
-            bands = ad.tensor(batch)
+            bands = ad.tensor(self.decompose(cycles))
         else:
-            if batch.ndim == 2:
-                batch = batch[:, None, :]
-            if batch.ndim != 3 or batch.shape[1] != 1:
-                raise ValueError(f"conv frontend expects [batch, 1, L], got {batch.shape}")
-            bands = self.frontend.forward(ad.tensor(batch))
+            bands = self.frontend.forward(ad.tensor(cycles[:, None, :]))
 
-        n = batch.shape[0]
+        n = cycles.shape[0]
         keep1 = keep2 = None
         if train and cfg.dropout > 0.0:
             keep1, keep2 = self._dropout_keep(n, bands.data.shape[-1], cfg.dropout, rng)
@@ -270,7 +263,8 @@ class Network:
         return ad.scale(total, self.config.l2_conv)
 
     def decompose(self, raw: np.ndarray) -> np.ndarray:
-        """Fixed-bank band decomposition for the external_fir input path.
+        """Fixed-bank band decomposition of raw cycles [batch, L] into
+        [batch, bands, L], the external_fir front-end.
 
         Centered alignment (numpy "same" convolution), matching the conv
         front-end's output sample-for-sample. The whole batch goes through
@@ -278,10 +272,8 @@ class Network:
         two checks one implementation against another.
         """
         if self.bank is None:
-            raise ValueError("this network has a conv frontend; feed it raw cycles")
+            raise ValueError("this network has no fixed filter bank to decompose with")
         raw = np.asarray(raw, dtype=np.float64)
-        if raw.ndim == 1:
-            raw = raw[None, :]
         coeffs = np.stack([f.coeffs for f in self.bank.filters])   # [bands, K]
         n, k = raw.shape[1], coeffs.shape[1]
         if n < k:
@@ -297,7 +289,7 @@ def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) ->
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-def build(config: NetworkConfig, bank: FilterBank | None = None) -> Network:
+def build(config: NetworkConfig) -> Network:
     """Deterministically initialize a network from config.seed.
 
     Each component draws from its own seed stream, so nets that share a
@@ -308,8 +300,9 @@ def build(config: NetworkConfig, bank: FilterBank | None = None) -> Network:
     streams = np.random.SeedSequence(cfg.seed).spawn(6)
     k = cfg.branch_kernel
 
-    if bank is None and (cfg.init == "fir_bank" or cfg.frontend == "external_fir"):
-        bank = default_bank(1000.0, cfg.kernel_len - 1)
+    bank = None
+    if cfg.init == "fir_bank" or cfg.frontend == "external_fir":
+        bank = default_bank(PIPELINE_RATE_HZ, cfg.kernel_len - 1)
     frontend = None
     if cfg.frontend != "external_fir":
         shape = (cfg.bands, 1, cfg.kernel_len)

@@ -157,6 +157,14 @@ def split_fold(store: CycleStore, folds: dict[str, int], fold: int
     return idx[~val_mask], idx[val_mask]
 
 
+def _check_cycle_len(net: Network, store: CycleStore) -> None:
+    """The store's cycles must have the length the network was built for."""
+    length = store.samples.shape[1]
+    if length != net.config.input_len:
+        raise DataError(f"cycle store holds {length}-sample cycles, the network "
+                        f"takes {net.config.input_len}")
+
+
 EVAL_BATCH = 256
 
 
@@ -168,6 +176,7 @@ def _predict_recordings(net: Network, store: CycleStore, cycle_idx: np.ndarray
     then store position) in fixed-size batches, so the result does not
     depend on the order of cycle_idx.
     """
+    _check_cycle_len(net, store)
     groups: dict[str, list[int]] = {}
     for i in cycle_idx:
         groups.setdefault(store.recording_ids[i], []).append(int(i))
@@ -176,12 +185,7 @@ def _predict_recordings(net: Network, store: CycleStore, cycle_idx: np.ndarray
     with ad.no_grad():
         for start in range(0, len(flat), EVAL_BATCH):
             rows = flat[start:start + EVAL_BATCH]
-            batch = store.samples[rows]
-            if net.frontend is None:
-                batch = net.decompose(batch)
-            else:
-                batch = batch[:, None, :]
-            probs[start:start + len(rows)] = net.forward(batch, train=False).data
+            probs[start:start + len(rows)] = net.forward(store.samples[rows]).data
     out = {}
     pos = 0
     for rid in sorted(groups):
@@ -242,6 +246,7 @@ def train_fold(net: Network, store: CycleStore, folds: dict[str, int], fold: int
 
     Fully deterministic for a given (net, store, folds, cfg).
     """
+    _check_cycle_len(net, store)
     train_idx, val_idx = split_fold(store, folds, fold)
     if cfg.epochs == 0:
         return net, []
@@ -265,15 +270,10 @@ def train_fold(net: Network, store: CycleStore, folds: dict[str, int], fold: int
             rows = order[start:start + cfg.batch_size]
             if rows.size < 2:
                 continue   # batchnorm needs at least two samples
-            batch = store.samples[rows]
             labels = store.labels[rows]
-            if net.frontend is None:
-                batch = net.decompose(batch)
-            else:
-                batch = batch[:, None, :]
             weights = np.where(labels == 1, w_abn, w_nor)
             net.zero_grad()
-            pred = net.forward(batch, train=True, rng=dropout_rng)
+            pred = net.forward(store.samples[rows], train=True, rng=dropout_rng)
             loss = ad.weighted_bce(pred, labels, weights)
             pen = net.l2_penalty()
             if pen is not None:

@@ -179,12 +179,11 @@ def test_gradient_suite():
                             dropout=0.0, seed=3)
         net = build(cfg)
         raw = np.random.default_rng(17).normal(size=(4, 120))
-        batch = net.decompose(raw) if frontend == "external_fir" else raw[:, None, :]
         labels = np.array([1, 0, 1, 0])
         weights = np.array([1.3, 0.7, 1.3, 0.7])
 
         def loss():
-            pred = net.forward(batch, train=True, rng=np.random.default_rng(0))
+            pred = net.forward(raw, train=True, rng=np.random.default_rng(0))
             return ad.add(ad.weighted_bce(pred, labels, weights), net.l2_penalty())
 
         # train-mode normalization uses batch statistics, so the running
@@ -232,7 +231,7 @@ def test_linear_phase_suite():
         labels = rng.integers(0, 2, size=8)
         raw += labels[:, None] * np.sin(2 * np.pi * 220.0 * t)[None, :]
         net.zero_grad()
-        pred = net.forward(raw[:, None, :], train=True, rng=drop)
+        pred = net.forward(raw, train=True, rng=drop)
         loss = ad.add(ad.weighted_bce(pred, labels, np.ones(8)), net.l2_penalty())
         ad.backward(loss)
         adam_step(net.parameters(), state, step, tcfg)
@@ -310,8 +309,8 @@ def test_baseline_equivalence():
     frozen = build(NetworkConfig(frontend="tconv_free", init="fir_bank",
                                  frontend_trainable=False, seed=31))
     baseline = build(NetworkConfig(frontend="external_fir", seed=31))
-    p_frozen = frozen.forward(batch[:, None, :]).data
-    p_base = baseline.forward(baseline.decompose(batch)).data
+    p_frozen = frozen.forward(batch).data
+    p_base = baseline.forward(batch).data
     assert np.abs(p_frozen - p_base).max() < 1e-8
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pcgnet.cli import main
-from pcgnet.data import CycleStore, read_fold_manifest
+from pcgnet.data import MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest
 from pcgnet.fir import bank_from_json, default_bank, frequency_response
 from pcgnet.model import CKPT_MAGIC, NetworkConfig, build, load, save
 
@@ -125,6 +125,48 @@ class TestSynthIngestFolds:
         assert len(err) == 1 and err[0].startswith("data error:")
 
 
+    @pytest.mark.parametrize("case", ["nan", "label2", "label_str", "no_label", "id_int",
+                                      "valid_len_short", "valid_len_long", "empty"])
+    def test_malformed_store_is_data_error(self, pipeline, tmp_path, capsys, case):
+        store = CycleStore.load(pipeline / "store" / "cycles.bin")
+        samples = store.samples.copy()
+        meta = [{"recording_id": r, "label": int(l), "valid_len": int(v)}
+                for r, l, v in zip(store.recording_ids, store.labels, store.valid_lens)]
+        if case == "nan":
+            samples[3, 10] = np.nan
+        elif case == "label2":
+            meta[0]["label"] = 2
+        elif case == "label_str":
+            meta[0]["label"] = "1"
+        elif case == "no_label":
+            del meta[0]["label"]
+        elif case == "id_int":
+            meta[0]["recording_id"] = 7
+        elif case == "valid_len_short":
+            meta[0]["valid_len"] = MIN_CYCLE_LEN - 1
+        elif case == "valid_len_long":
+            meta[0]["valid_len"] = samples.shape[1] + 1
+        else:
+            samples, meta = samples[:0], []
+        # the on-disk layout of CycleStore.save
+        bad = tmp_path / "cycles.bin"
+        bad.write_bytes(STORE_MAGIC + struct.pack("<QQ", *samples.shape)
+                        + samples.astype("<f8").tobytes() + json.dumps(meta).encode())
+        ckpt = tmp_path / "m.ckpt"
+        save(build(NetworkConfig(frontend="tconv_lp")), str(ckpt))
+        folds = str(pipeline / "folds" / "folds.csv")
+        for argv in (["train", "--cycles", str(bad), "--folds", folds, "--fold", "0",
+                      "--epochs", "1", "--out", str(tmp_path / "run")],
+                     ["eval", "--ckpt", str(ckpt), "--cycles", str(bad), "--folds", folds,
+                      "--fold", "0", "--out", str(tmp_path / "ev")],
+                     ["analyze", "--ckpt", str(ckpt), "--cycles", str(bad),
+                      "--out", str(tmp_path / "an")]):
+            capsys.readouterr()
+            assert main(argv) == 3, argv[0]
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("data error:"), argv[0]
+
+
 class TestTrainEval:
     def test_train_eval_round(self, pipeline, tmp_path):
         run = tmp_path / "run"
@@ -212,6 +254,32 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
         assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("input_len", [100, 2501])
+    def test_input_len_is_not_a_config_key(self, pipeline, tmp_path, capsys, input_len):
+        # the network's input length comes from the store, never from --config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input_len": input_len}))
+        capsys.readouterr()
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0",
+                     "--epochs", "1", "--batch-size", "16", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "unknown config key" in err[0] and "input_len" in err[0]
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+    def test_checkpoint_of_other_input_len_is_data_error(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save(build(NetworkConfig(frontend="tconv_lp", input_len=100)), str(ckpt))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt),
+                     "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "0", "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "100" in err[0]
+        assert not (tmp_path / "ev" / "eval.csv").exists()
 
     def test_checkpoint_with_unknown_init_is_data_error(self, pipeline, tmp_path, capsys):
         net = build(NetworkConfig(frontend="tconv_lp", init="random"))

@@ -43,7 +43,7 @@ class TestShapes:
             cfg = NetworkConfig(frontend="tconv_free", init="random",
                                 input_len=length, seed=1)
             net = build(cfg)
-            x = rng.normal(size=(2, 1, length))
+            x = rng.normal(size=(2, length))
             out = net.forward(x)
             assert out.data.shape == (2,)
 
@@ -113,20 +113,20 @@ class TestForward:
     def test_zero_input_near_half(self):
         net = build(NetworkConfig(frontend="tconv_free", init="random",
                                   input_len=200, seed=7))
-        out = net.forward(np.zeros((4, 1, 200))).data
+        out = net.forward(np.zeros((4, 200))).data
         assert np.all((out > 0.3) & (out < 0.7))
 
     def test_infer_deterministic(self):
         net = build(NetworkConfig(frontend="tconv_lp", init="fir_bank",
                                   input_len=300, seed=2))
-        x = np.random.default_rng(0).normal(size=(3, 1, 300))
+        x = np.random.default_rng(0).normal(size=(3, 300))
         assert np.array_equal(net.forward(x).data, net.forward(x).data)
 
     def test_batch_permutation_equivariant(self):
         net = build(NetworkConfig(frontend="tconv_free", init="random",
                                   input_len=250, seed=9))
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 1, 250))
+        x = rng.normal(size=(5, 250))
         perm = rng.permutation(5)
         out = net.forward(x).data
         out_p = net.forward(x[perm]).data
@@ -135,24 +135,25 @@ class TestForward:
     def test_probabilities_in_unit_interval(self):
         net = build(NetworkConfig(frontend="tconv_zp", init="random",
                                   input_len=200, seed=4))
-        x = np.random.default_rng(2).normal(size=(6, 1, 200)) * 5
+        x = np.random.default_rng(2).normal(size=(6, 200)) * 5
         out = net.forward(x).data
         assert np.all((out > 0) & (out < 1))
 
     def test_wrong_rank_rejected(self):
-        net = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
-        with pytest.raises(ValueError):
-            net.forward(np.zeros((2, 1, 100)))  # needs 4 bands pre-decomposed
-        net2 = build(NetworkConfig(frontend="tconv_free", init="random",
-                                   input_len=100, seed=0))
-        with pytest.raises(ValueError):
-            net2.forward(np.zeros((2, 4, 100)))
+        # every front-end takes raw [batch, input_len] cycles and nothing else
+        for net in (build(NetworkConfig(frontend="external_fir", input_len=100, seed=0)),
+                    build(NetworkConfig(frontend="tconv_free", init="random",
+                                        input_len=100, seed=0))):
+            assert net.forward(np.zeros((2, 100))).data.shape == (2,)
+            for shape in ((2, 1, 100), (2, 4, 100), (2, 101)):
+                with pytest.raises(ValueError):
+                    net.forward(np.zeros(shape))
 
     def test_train_mode_requires_rng(self):
         net = build(NetworkConfig(frontend="tconv_free", init="random",
                                   input_len=100, seed=0))
         with pytest.raises(ValueError):
-            net.forward(np.zeros((2, 1, 100)), train=True)
+            net.forward(np.zeros((2, 100)), train=True)
 
 
 class TestGroupedStage:
@@ -160,6 +161,9 @@ class TestGroupedStage:
 
     @staticmethod
     def _net_and_batch(frontend, init="random"):
+        """The net, raw cycles for its forward, and the same cycles as the
+        reference takes them: split into bands for external_fir, with a
+        channel axis otherwise."""
         net = build(NetworkConfig(frontend=frontend, init=init, input_len=300, seed=12))
         rng = np.random.default_rng(40)
         # nonzero biases and running statistics, so the folding is exercised
@@ -169,12 +173,12 @@ class TestGroupedStage:
             stage.state.var[...] = rng.uniform(0.5, 2.0, size=stage.state.var.shape)
         raw = rng.normal(size=(6, 300))
         batch = net.decompose(raw) if frontend == "external_fir" else raw[:, None, :]
-        return net, batch
+        return net, raw, batch
 
     @pytest.mark.parametrize("frontend", ["tconv_lp", "tconv_zp", "tconv_free",
                                           "external_fir"])
     def test_train_forward_and_gradients_match_branch_loop(self, frontend):
-        net, batch = self._net_and_batch(frontend)
+        net, raw, batch = self._net_and_batch(frontend)
         labels = np.array([1, 0, 1, 0, 1, 1])
         weights = np.linspace(0.5, 1.5, 6)
         states = branch_states(net)
@@ -188,7 +192,7 @@ class TestGroupedStage:
         assert net.config.dropout == 0.5
         want = branch_loop_forward(net, batch, True, np.random.default_rng(3), states)
         want_grads = grads(want)
-        got = net.forward(batch, train=True, rng=np.random.default_rng(3))
+        got = net.forward(raw, train=True, rng=np.random.default_rng(3))
         got_grads = grads(got)
         assert np.abs(got.data - want.data).max() < 1e-12
         for (name, _), g, w in zip(params, got_grads, want_grads):
@@ -200,10 +204,10 @@ class TestGroupedStage:
 
     @pytest.mark.parametrize("frontend", ["tconv_lp", "tconv_zp", "external_fir"])
     def test_infer_matches_branch_loop(self, frontend):
-        net, batch = self._net_and_batch(frontend)
+        net, raw, batch = self._net_and_batch(frontend)
         want = branch_loop_forward(net, batch, False, None, branch_states(net)).data
         with ad.no_grad():
-            got = net.forward(batch).data
+            got = net.forward(raw).data
         assert np.abs(got - want).max() < 1e-12
 
     def test_branch_states_are_views_of_stage_states(self):
@@ -223,7 +227,7 @@ class TestDecompose:
         got = net.decompose(raw)
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
-        assert np.array_equal(net.decompose(raw[0]), got[:1])
+        assert np.array_equal(net.decompose(raw[:1]), got[:1])
 
 
 class TestBaselineEquivalence:
@@ -233,8 +237,8 @@ class TestBaselineEquivalence:
         frozen = build(NetworkConfig(frontend="tconv_free", init="fir_bank",
                                      frontend_trainable=False, input_len=500, seed=13))
         baseline = build(NetworkConfig(frontend="external_fir", input_len=500, seed=13))
-        p_frozen = frozen.forward(cycles[:, None, :]).data
-        p_base = baseline.forward(baseline.decompose(cycles)).data
+        p_frozen = frozen.forward(cycles).data
+        p_base = baseline.forward(cycles).data
         assert np.abs(p_frozen - p_base).max() < 1e-8
 
 
@@ -269,7 +273,7 @@ class TestCheckpoint:
         # perturb running stats and step so they must survive the trip
         net.branches[0].bn1_mean += 0.25
         net.step = 17
-        x = np.random.default_rng(5).normal(size=(2, 1, 300))
+        x = np.random.default_rng(5).normal(size=(2, 300))
         before = net.forward(x).data
         path = tmp_path / "m.ckpt"
         save(net, str(path))

@@ -1,0 +1,52 @@
+"""The names the benchmark's span tracer patches must exist and keep their
+call shapes.
+
+perfbench/spans.py replaces pcgnet functions by name (the autodiff ops,
+Network.forward, Network.decompose, TConvLayer.forward, training.adam_step,
+...) and reads Network.branches. The benchmark itself runs untraced, so a
+rename there would only show in a traced run; this test runs one.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import pcgnet.autodiff as ad
+import pcgnet.training as trn
+from pcgnet.model import NetworkConfig, build
+from pcgnet.training import TrainConfig
+
+from test_training import toy_folds, toy_store
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_train_and_evaluate():
+    spans_mod = load_spans()
+    store = toy_store(n_recordings=8, cycles_per=3, length=120)
+    folds = toy_folds(store)
+    conv1d = ad.conv1d
+    tracer = spans_mod.Tracer()
+    tracer.install()
+    try:
+        lp = build(NetworkConfig(frontend="tconv_lp", input_len=120, seed=1))
+        trn.train_fold(lp, store, folds, 0, TrainConfig(batch_size=8, epochs=1, seed=1))
+        baseline = build(NetworkConfig(frontend="external_fir", input_len=120, seed=1))
+        trn.evaluate(baseline, store, np.arange(len(store)), fold=0)
+    finally:
+        tracer.uninstall()
+    assert ad.conv1d is conv1d
+    spans = tracer.spans
+    assert spans_mod.check_nesting(spans) == []
+    names = {s[0] for s in spans}
+    assert {"training.train_fold", "training.adam_step", "training.evaluate",
+            "model.forward", "model.decompose", "frontend.forward"} <= names
+    assert "autodiff.conv1d_valid.fwd" in names and "autodiff.conv1d_valid.bwd" in names

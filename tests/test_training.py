@@ -108,7 +108,7 @@ class TestAdam:
         # plain-SGD step along -grad must decrease a fixed-batch loss
         store = toy_store()
         net = toy_net()
-        x = store.samples[:8][:, None, :]
+        x = store.samples[:8]
         y = store.labels[:8]
         w = np.ones(8)
 
@@ -303,4 +303,4 @@ class TestEvaluate:
         evaluate(net, store, np.arange(len(store)), fold=0)
         assert outputs
         assert all(o._parents == () and o._backward is None for o in outputs)
-        assert forward(store.samples[:2, None, :])._backward is not None
+        assert forward(store.samples[:2])._backward is not None
