@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .dsp import Waveform, Spectrum, LtsaProfile, fft_real, ifft_real, resample, ltsa, unwrap_phase
+from .dsp import Waveform, LtsaProfile, resample, ltsa, unwrap_phase
 from .fir import FirFilter, FilterBank, design_bandpass, apply_fir, frequency_response, default_bank
 from .autodiff import Tensor, backward, conv1d, causal_conv1d
 from .frontend import TConvLayer, init_kernel
@@ -11,8 +11,7 @@ from .data import CycleStore, synth_pcg, segment_cycles, make_folds, load_record
 from .training import TrainConfig, train_fold, evaluate, adam_step, class_weights_from, cross_fold_summary
 
 __all__ = [
-    "Waveform", "Spectrum", "LtsaProfile", "fft_real", "ifft_real", "resample",
-    "ltsa", "unwrap_phase",
+    "Waveform", "LtsaProfile", "resample", "ltsa", "unwrap_phase",
     "FirFilter", "FilterBank", "design_bandpass", "apply_fir",
     "frequency_response", "default_bank",
     "Tensor", "backward", "conv1d", "causal_conv1d",

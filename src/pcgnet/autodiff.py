@@ -562,22 +562,15 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     return _node(out, parents, back, "batchnorm")
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator,
-            keep: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: kept activations are scaled by 1/(1-rate).
-
-    `keep` is a boolean keep-mask of x's shape drawn beforehand; without
-    it the mask is drawn from rng here (rng.random(shape) >= rate).
-    """
+def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: kept activations are scaled by 1/(1-rate). The
+    keep-mask is one draw from rng over x's whole shape
+    (rng.random(shape) >= rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    if keep is None:
-        keep = rng.random(x.data.shape) >= rate
-    elif keep.shape != x.data.shape:
-        raise ValueError(f"keep-mask shape {keep.shape} != input shape {x.data.shape}")
-    mask = keep * (1.0 / (1.0 - rate))  # the same values as keep / (1 - rate)
+    mask = (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))
 
     def back(g):
         if x.requires_grad:

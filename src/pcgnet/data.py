@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -41,7 +42,6 @@ class RecordingMeta:
     id: str
     label: int                    # 0 normal, 1 abnormal
     subset: str = "synthetic"
-    fold: int = TRAIN_ONLY_FOLD
 
     def __post_init__(self):
         if self.label not in (0, 1):
@@ -72,9 +72,16 @@ class CycleRecord:
 
 def load_recording(wav_path: str, label: int, recording_id: str | None = None,
                    subset: str = "unknown") -> tuple[Waveform, RecordingMeta]:
-    """Read a PCM16 mono WAV, normalize to [-1, 1], resample to 1000 Hz."""
+    """Read a PCM16 mono WAV, normalize to [-1, 1], resample to 1000 Hz.
+
+    Any malformed file is a DataError: a bad header, a data chunk that
+    holds no frame or ends inside one, a sample rate below the pipeline
+    rate (upsampling adds no band content, and a tiny rate would make the
+    signal arbitrarily long) and one so high that no sample is left.
+    """
     rid = recording_id or str(wav_path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
+        size = os.path.getsize(wav_path)
         with wave.open(str(wav_path), "rb") as wf:
             if wf.getnchannels() != 1:
                 raise DataError(f"{rid}: only mono WAV supported, "
@@ -83,16 +90,24 @@ def load_recording(wav_path: str, label: int, recording_id: str | None = None,
                 raise DataError(f"{rid}: only 16-bit PCM supported, "
                                 f"got {8 * wf.getsampwidth()}-bit")
             rate = wf.getframerate()
-            nframes = wf.getnframes()
-            raw = wf.readframes(nframes)
-    except (wave.Error, EOFError) as e:
-        raise DataError(f"{rid}: unreadable WAV ({e})") from None
-    if nframes == 0:
-        raise DataError(f"{rid}: empty WAV file")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    x = Waveform(samples, float(rate))
+            # the header's frame count may claim more than the file holds
+            raw = wf.readframes(min(wf.getnframes(), size // 2))
+    except (OSError, wave.Error, EOFError, RuntimeError) as e:
+        # wave raises a bare RuntimeError for a chunk that runs past the file
+        raise DataError(f"{rid}: unreadable WAV ({e or 'chunk runs past the file'})") from None
+    if len(raw) < 2:
+        raise DataError(f"{rid}: WAV holds no audio frames")
+    if len(raw) % 2:
+        raise DataError(f"{rid}: WAV data ends inside a frame ({len(raw)} bytes)")
+    if rate < PIPELINE_RATE_HZ:
+        raise DataError(f"{rid}: sample rate {rate} Hz is below the "
+                        f"{PIPELINE_RATE_HZ:g} Hz pipeline rate")
+    x = Waveform(np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0, float(rate))
     if rate != PIPELINE_RATE_HZ:
-        x = resample(x, PIPELINE_RATE_HZ)
+        try:
+            x = resample(x, PIPELINE_RATE_HZ)
+        except ValueError as e:     # too few frames to leave one sample
+            raise DataError(f"{rid}: {e} ({len(x)} frames at {rate} Hz)") from None
     return x, RecordingMeta(id=rid, label=int(label), subset=subset)
 
 

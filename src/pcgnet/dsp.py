@@ -1,5 +1,5 @@
-"""Signal primitives: waveforms, one-sided spectra, resampling, phase
-unwrapping and long-term spectral averaging.
+"""Signal primitives: waveforms, resampling, phase unwrapping and
+long-term spectral averaging.
 
 All functions are pure: they never mutate their inputs and are safe to call
 concurrently. Amplitudes are dimensionless, frequencies in Hz, sample rates
@@ -53,28 +53,6 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """One-sided DFT of a real signal (bins 0..n_fft/2 inclusive)."""
-
-    bins: np.ndarray
-    bin_freq_hz: np.ndarray
-    n_fft: int
-
-    def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.complex128)
-        freqs = np.asarray(self.bin_freq_hz, dtype=np.float64)
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "bin_freq_hz", freqs)
-        if bins.size != self.n_fft // 2 + 1:
-            raise ValueError(f"one-sided spectrum of n_fft={self.n_fft} needs "
-                             f"{self.n_fft // 2 + 1} bins, got {bins.size}")
-        if freqs.size != bins.size:
-            raise ValueError("bin_freq_hz length must match bins")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("bin_freq_hz must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class LtsaProfile:
     """Time-averaged log-magnitude spectrum of a recording."""
 
@@ -86,29 +64,6 @@ class LtsaProfile:
     def __post_init__(self):
         if len(self.freq_hz) != len(self.avg_log_magnitude_db):
             raise ValueError("freq_hz and avg_log_magnitude_db lengths differ")
-
-
-def fft_real(x: Waveform, n_fft: int) -> Spectrum:
-    """One-sided DFT of a real waveform, zero-padded to n_fft points.
-
-    n_fft must be a power of two no smaller than the signal.
-    """
-    n = len(x)
-    if n == 0:
-        raise ValueError("cannot transform an empty waveform")
-    if n_fft < n:
-        raise ValueError(f"n_fft={n_fft} smaller than signal length {n}")
-    if n_fft & (n_fft - 1) or n_fft < 1:
-        raise ValueError(f"n_fft={n_fft} is not a power of two")
-    bins = np.fft.rfft(x.samples, n_fft)
-    freqs = np.fft.rfftfreq(n_fft, 1.0 / x.sample_rate_hz)
-    return Spectrum(bins=bins, bin_freq_hz=freqs, n_fft=n_fft)
-
-
-def ifft_real(spectrum: Spectrum, length: int | None = None) -> np.ndarray:
-    """Invert a one-sided spectrum back to time-domain samples."""
-    out = np.fft.irfft(spectrum.bins, spectrum.n_fft)
-    return out if length is None else out[:length]
 
 
 def resample(x: Waveform, target_hz: float) -> Waveform:
@@ -179,7 +134,7 @@ def ltsa(x: Waveform, window_len: int = 1024, hop: int = 512) -> LtsaProfile:
                        window_len=window_len, hop=hop)
 
 
-def unwrap_phase(bins: np.ndarray | Spectrum) -> tuple[np.ndarray, np.ndarray]:
+def unwrap_phase(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous phase of a spectrum; successive differences in (-pi, pi].
 
     Zero-magnitude bins have no phase of their own: their phase is carried
@@ -187,8 +142,6 @@ def unwrap_phase(bins: np.ndarray | Spectrum) -> tuple[np.ndarray, np.ndarray]:
     leading run of zeros). Returns (phase_rad, carried) where carried flags
     the bins whose phase was substituted.
     """
-    if isinstance(bins, Spectrum):
-        bins = bins.bins
     bins = np.asarray(bins, dtype=np.complex128)
     if bins.size == 0:
         raise ValueError("cannot unwrap an empty spectrum")

@@ -80,6 +80,9 @@ class NetworkConfig:
             raise ValueError("front-end kernel length must be odd")
         if self.input_len < 20:
             raise ValueError("input_len must be >= 20")
+        if self.frontend == "external_fir" and self.kernel_len > self.input_len:
+            raise ValueError(f"the {self.kernel_len}-tap external_fir bank is longer "
+                             f"than input_len {self.input_len}")
         if self.pool < 1:
             raise ValueError("pool must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -221,16 +224,13 @@ class Network:
             bands = self.frontend.forward(ad.tensor(cycles[:, None, :]))
 
         n = cycles.shape[0]
-        keep1 = keep2 = None
-        if train and cfg.dropout > 0.0:
-            keep1, keep2 = self._dropout_keep(n, bands.data.shape[-1], cfg.dropout, rng)
         h = bands
-        for st, keep in ((self.stage1, keep1), (self.stage2, keep2)):
+        for st in (self.stage1, self.stage2):
             h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
             h = ad.batchnorm1d(h, st.gamma, st.beta, st.state, train, bias=st.b)
             h = ad.relu(h)
             if train:
-                h = ad.dropout(h, cfg.dropout, train, rng, keep=keep)
+                h = ad.dropout(h, cfg.dropout, train, rng)
             h = ad.maxpool1d(h, cfg.pool)
         # [B, bands*filters, L'] flattens branch-major: each branch's
         # features form one contiguous block of the head's input
@@ -238,22 +238,6 @@ class Network:
         z = ad.relu(ad.dense(z, self.head_w1, self.head_b1))
         out = ad.sigmoid(ad.dense(z, self.head_w2, self.head_b2))
         return ad.reshape(out, (n,))
-
-    def _dropout_keep(self, n: int, length: int, rate: float, rng: np.random.Generator
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Keep-masks of both stages, drawn in per-branch order (branch 0
-        stage 1, branch 0 stage 2, branch 1 stage 1, ...) so the random
-        stream matches one dropout draw per branch and stage."""
-        cfg = self.config
-        k, c1, c2 = cfg.branch_kernel, cfg.conv1_filters, cfg.conv2_filters
-        len1 = length - k + 1
-        len2 = len1 // cfg.pool - k + 1
-        keep1 = np.empty((n, cfg.bands * c1, len1), dtype=bool)
-        keep2 = np.empty((n, cfg.bands * c2, len2), dtype=bool)
-        for i in range(cfg.bands):
-            keep1[:, i * c1:(i + 1) * c1] = rng.random((n, c1, len1)) >= rate
-            keep2[:, i * c2:(i + 1) * c2] = rng.random((n, c2, len2)) >= rate
-        return keep1, keep2
 
     def l2_penalty(self) -> ad.Tensor | None:
         """L2 penalty on the branch convolution kernels."""
@@ -418,12 +402,22 @@ def load(path: str) -> Network:
             except UnicodeDecodeError:
                 raise CheckpointError("bad blob name in checkpoint") from None
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
+            if ndim > 3:    # no stored array has more axes than a kernel
+                raise CheckpointError(f"blob {name} has {ndim} dimensions")
             _check_room(fh, size, 8 * ndim, f"shape of {name}")
             shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
             _check_room(fh, size, 8 * math.prod(shape), f"blob {name} {shape}")
             arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"blob {name} holds NaN or Inf")
             blobs[name] = arr.reshape(shape).copy()
 
+    # the arrays whose size the config sets must be the ones stored, or
+    # build(cfg) would allocate whatever a corrupt config asks for
+    for name, shape in _config_sized_shapes(cfg):
+        if name not in blobs or blobs[name].shape != shape:
+            raise CheckpointError(f"config implies {name} of shape {shape}, checkpoint "
+                                  f"holds {blobs[name].shape if name in blobs else 'none'}")
     net = build(cfg)
     expected = [name for name, _ in net._blobs()]
     if set(expected) != set(blobs):
@@ -438,6 +432,17 @@ def load(path: str) -> Network:
     net.restore(blobs)
     net.step = step
     return net
+
+
+def _config_sized_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Stored arrays whose shapes follow from config values (input_len,
+    pool, kernel_len); every other shape is fixed by the branch topology."""
+    out = [("head.w1", (flatten_width(cfg), cfg.hidden))]
+    if cfg.frontend == "tconv_lp":
+        out.append(("frontend.half", (cfg.bands, 1, (cfg.kernel_len + 1) // 2)))
+    elif cfg.frontend != "external_fir":
+        out.append(("frontend.kernel", (cfg.bands, 1, cfg.kernel_len)))
+    return out
 
 
 def _check_room(fh, size: int, n_bytes: int, what: str) -> None:

@@ -77,6 +77,9 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
     """Network.forward rebuilt as one op chain per branch, the way the
     grouped branch stage is defined: slice -> conv -> add_channel_bias ->
     batch-norm -> relu -> dropout -> pool, twice, for each band in turn.
+    Dropout draws each stage's keep-mask over all branches in one draw,
+    stage 1 first, as the grouped stage does, and multiplies branch i by
+    its slice.
     Each branch's parameters are slices of the stage tensors, so their
     gradients land on the stage parameters. The zero-phase front-end's
     reverse pass is likewise one conv per band.
@@ -101,9 +104,11 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
                 parts.append(ad.flip_time(ad.conv1d(ad.flip_time(zb), kb, padding="same")))
             x = ad.concat(parts, axis=1)
     feats = []
+    scaled_keep = {}     # stage index -> keep / (1 - rate) over [n, bands*c, L]
     for i in range(cfg.bands):
         h = ad.slice_channels(x, i, i + 1)
-        for stage, state in ((net.stage1, states[i][0]), (net.stage2, states[i][1])):
+        for s, (stage, state) in enumerate(((net.stage1, states[i][0]),
+                                            (net.stage2, states[i][1]))):
             c = stage.b.data.size // cfg.bands
             w, b, gamma, beta = (ad.slice_axis(p, 0, i * c, (i + 1) * c)
                                  for p in (stage.w, stage.b, stage.gamma, stage.beta))
@@ -111,8 +116,11 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
             h = ad.add_channel_bias(h, b)
             h = ad.batchnorm1d(h, gamma, beta, state, train)
             h = ad.relu(h)
-            if train:
-                h = ad.dropout(h, cfg.dropout, train, rng)
+            if train and cfg.dropout > 0.0:
+                if s not in scaled_keep:
+                    keep = rng.random((n, cfg.bands * c, h.data.shape[-1])) >= cfg.dropout
+                    scaled_keep[s] = keep / (1.0 - cfg.dropout)
+                h = ad.mul(h, ad.tensor(scaled_keep[s][:, i * c:(i + 1) * c]))
             h = ad.maxpool1d(h, cfg.pool)
         feats.append(ad.reshape(h, (n, -1)))
     z = ad.relu(ad.dense(ad.concat(feats, axis=1), net.head_w1, net.head_b1))

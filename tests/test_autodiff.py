@@ -396,16 +396,6 @@ class TestDropout:
         assert np.array_equal(x.grad, out.data)  # mask * 2 where kept
 
 
-    def test_given_keep_mask_matches_drawn_mask(self):
-        x = ad.tensor(np.random.default_rng(1).normal(size=(3, 4, 5)))
-        drawn = ad.dropout(x, 0.3, True, np.random.default_rng(8))
-        keep = np.random.default_rng(8).random((3, 4, 5)) >= 0.3
-        given = ad.dropout(x, 0.3, True, None, keep=keep)
-        assert np.array_equal(drawn.data, given.data)
-        with pytest.raises(ValueError):
-            ad.dropout(x, 0.3, True, None, keep=keep[:, :2])
-
-
 class TestNoGrad:
     def test_ops_build_no_graph(self):
         x = ad.tensor(np.ones((4, 2)))

@@ -19,6 +19,17 @@ def digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def rewrite_config(ckpt, **changes):
+    """Rewrite the config JSON stored in a checkpoint file."""
+    blob = Path(ckpt).read_bytes()
+    at = len(CKPT_MAGIC) + 4
+    (n,) = struct.unpack_from("<Q", blob, at)
+    cfg = json.loads(blob[at + 8:at + 8 + n])
+    cfg.update(changes)
+    text = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    Path(ckpt).write_bytes(blob[:at] + struct.pack("<Q", len(text)) + text + blob[at + 8 + n:])
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One small synth -> ingest -> folds pipeline shared by the tests."""
@@ -124,6 +135,28 @@ class TestSynthIngestFolds:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
 
+
+    @pytest.mark.parametrize("case", ["cut_inside_frame", "cut_before_first_frame",
+                                      "rate_0", "rate_2^31", "rate_2^32-1"])
+    def test_malformed_wav_is_data_error(self, pipeline, tmp_path, capsys, case):
+        src = sorted((pipeline / "data" / "wav").glob("*.wav"))[0]
+        blob = src.read_bytes()
+        assert blob[36:40] == b"data"           # the 44-byte header of write_wav
+        if case == "cut_inside_frame":
+            blob = blob[:44 + 2 * 100 + 1]
+        elif case == "cut_before_first_frame":
+            blob = blob[:44]
+        else:
+            rate = {"rate_0": 0, "rate_2^31": 2 ** 31, "rate_2^32-1": 2 ** 32 - 1}[case]
+            blob = blob[:24] + struct.pack("<I", rate) + blob[28:]
+        (tmp_path / "wav").mkdir()
+        (tmp_path / "wav" / src.name).write_bytes(blob)
+        capsys.readouterr()
+        assert main(["ingest", "--wav-dir", str(tmp_path / "wav"),
+                     "--labels", str(pipeline / "data" / "labels.csv"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and src.stem in err[0]
 
     @pytest.mark.parametrize("case", ["nan", "label2", "label_str", "no_label", "id_int",
                                       "valid_len_short", "valid_len_long", "empty"])
@@ -285,13 +318,7 @@ class TestTrainEval:
         net = build(NetworkConfig(frontend="tconv_lp", init="random"))
         ckpt = tmp_path / "m.ckpt"
         save(net, str(ckpt))
-        blob = ckpt.read_bytes()
-        at = len(CKPT_MAGIC) + 4
-        (n,) = struct.unpack_from("<Q", blob, at)
-        cfg = json.loads(blob[at + 8:at + 8 + n])
-        cfg["init"] = "he"
-        text = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-        ckpt.write_bytes(blob[:at] + struct.pack("<Q", len(text)) + text + blob[at + 8 + n:])
+        rewrite_config(ckpt, init="he")
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(ckpt),
                      "--cycles", str(pipeline / "store" / "cycles.bin"),
@@ -384,6 +411,26 @@ class TestAnalyze:
         shape_at = blob.index(name) + len(name) + 1
         blob[shape_at:shape_at + 8] = (2 ** 62).to_bytes(8, "little")
         ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["analyze", "--ckpt", str(ckpt), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
+    @pytest.mark.parametrize("frontend,changes", [
+        ("tconv_lp", {"input_len": 10 ** 12}),
+        ("tconv_lp", {"kernel_len": 10 ** 11 + 1}),
+        ("external_fir", {"kernel_len": 10 ** 11 + 1}),
+        ("tconv_lp", {"tap": float("nan")}),
+    ])
+    def test_checkpoint_config_or_values_out_of_reach_is_data_error(
+            self, tmp_path, capsys, frontend, changes):
+        net = build(NetworkConfig(frontend=frontend, input_len=100, seed=0))
+        if "tap" in changes:
+            net.frontend.half.data[2, 0, 5] = changes.pop("tap")
+        ckpt = tmp_path / "m.ckpt"
+        save(net, str(ckpt))
+        if changes:
+            rewrite_config(ckpt, **changes)
         capsys.readouterr()
         assert main(["analyze", "--ckpt", str(ckpt), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err.strip().splitlines()

@@ -1,62 +1,7 @@
 import numpy as np
 import pytest
 
-from pcgnet.dsp import (LtsaProfile, Spectrum, Waveform, fft_real, hamming,
-                        ifft_real, ltsa, resample, unwrap_phase)
-
-
-def naive_dft(x, n_fft):
-    """O(n^2) one-sided DFT used as the independent reference."""
-    xs = np.zeros(n_fft)
-    xs[: len(x)] = x
-    k = np.arange(n_fft // 2 + 1)
-    n = np.arange(n_fft)
-    return (xs[None, :] * np.exp(-2j * np.pi * np.outer(k, n) / n_fft)).sum(axis=1)
-
-
-class TestFftReal:
-    def test_impulse_is_flat(self):
-        spec = fft_real(Waveform([1.0, 0.0, 0.0, 0.0], 1000.0), 4)
-        assert np.allclose(spec.bins, 1.0 + 0j)
-
-    def test_constant_is_dc_only(self):
-        spec = fft_real(Waveform([1.0, 1.0, 1.0, 1.0], 1000.0), 4)
-        assert np.allclose(spec.bins, [4.0, 0.0, 0.0])
-
-    def test_matches_naive_dft(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        spec = fft_real(Waveform(x, 1000.0), 4)
-        assert np.abs(spec.bins - naive_dft(x, 4)).max() < 1e-12
-
-    @pytest.mark.parametrize("n,n_fft", [(5, 8), (100, 256), (1000, 1024)])
-    def test_matches_naive_dft_random(self, n, n_fft):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n)
-        spec = fft_real(Waveform(x, 1000.0), n_fft)
-        assert np.abs(spec.bins - naive_dft(x, n_fft)).max() < 1e-9 * n_fft
-
-    def test_rejects_small_and_non_pow2(self):
-        x = Waveform(np.ones(10), 1000.0)
-        with pytest.raises(ValueError):
-            fft_real(x, 8)
-        with pytest.raises(ValueError):
-            fft_real(x, 12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=2 ** 14)
-        spec = fft_real(Waveform(x, 1000.0), 2 ** 14)
-        assert np.abs(ifft_real(spec, len(x)) - x).max() < 1e-10
-
-    def test_parseval(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=512)
-        spec = fft_real(Waveform(x, 1000.0), 512)
-        # fold the one-sided spectrum back into a two-sided energy sum
-        mags = np.abs(spec.bins) ** 2
-        two_sided = mags[0] + mags[-1] + 2.0 * mags[1:-1].sum()
-        time_energy = (x ** 2).sum()
-        assert abs(two_sided / 512 - time_energy) < 1e-9 * time_energy
+from pcgnet.dsp import LtsaProfile, Waveform, hamming, ltsa, resample, unwrap_phase
 
 
 class TestResample:
@@ -183,10 +128,6 @@ class TestTypes:
             Waveform([np.nan, 1.0], 1000.0)
         with pytest.raises(ValueError):
             Waveform([1.0], 0.0)
-
-    def test_spectrum_validation(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.ones(4, dtype=complex), np.arange(4.0), 4)  # needs 3 bins
 
     def test_ltsa_profile_validation(self):
         with pytest.raises(ValueError):

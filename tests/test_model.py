@@ -99,6 +99,8 @@ class TestBuild:
             NetworkConfig(frontend="tconv_free", kernel_len=60)
         with pytest.raises(ValueError):
             NetworkConfig(input_len=19)
+        with pytest.raises(ValueError):     # the 61-tap bank is longer than a cycle
+            NetworkConfig(frontend="external_fir", input_len=60)
         with pytest.raises(ValueError):
             NetworkConfig(hidden=21)
         with pytest.raises(ValueError):

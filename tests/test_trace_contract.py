@@ -8,6 +8,7 @@ rename there would only show in a traced run; this test runs one.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,17 @@ def load_spans():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def subtree_names(spans, root_name):
+    """Names of the spans nested under the first span called root_name."""
+    root = next(i for i, s in enumerate(spans) if s[0] == root_name)
+    inside, names = {root}, []
+    for i in range(root + 1, len(spans)):
+        if spans[i][3] in inside:
+            inside.add(i)
+            names.append(spans[i][0])
+    return names
 
 
 def test_traced_train_and_evaluate():
@@ -50,3 +62,10 @@ def test_traced_train_and_evaluate():
     assert {"training.train_fold", "training.adam_step", "training.evaluate",
             "model.forward", "model.decompose", "frontend.forward"} <= names
     assert "autodiff.conv1d_valid.fwd" in names and "autodiff.conv1d_valid.bwd" in names
+    # one dropout per branch stage per training step, forward and backward,
+    # and none in evaluation
+    train = Counter(subtree_names(spans, "training.train_fold"))
+    assert train["training.adam_step"] > 0
+    assert train["autodiff.dropout.fwd"] == 2 * train["training.adam_step"]
+    assert train["autodiff.dropout.bwd"] == 2 * train["training.adam_step"]
+    assert "autodiff.dropout.fwd" not in subtree_names(spans, "training.evaluate")
