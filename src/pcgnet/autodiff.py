@@ -16,6 +16,7 @@ that delay and returns the causal filter output itself.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -493,6 +494,68 @@ class BatchNormState:
         return out
 
 
+def _bn_coefficients(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+                     train: bool, eps: float, momentum: float, bias: Tensor | None):
+    """Validate a batch-norm call on x [B, C, L] and return (mu, ivar, a,
+    shift): the layer is x * a + shift per channel, with a = gamma * ivar
+    and shift = beta - a * mu. Train mode takes the batch statistics and
+    updates the running ones in place; infer mode reads the running ones."""
+    if x.data.ndim != 3:
+        raise ValueError("batchnorm1d expects x [B, C, L]")
+    b, c, length = x.data.shape
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ValueError("gamma/beta must have shape [C]")
+    if bias is not None and bias.data.shape != (c,):
+        raise ValueError("bias must have shape [C]")
+    if train:
+        if b < 2:
+            raise ValueError("batchnorm in train mode needs batch >= 2")
+        mu = x.data.mean(axis=(0, 2))
+        xc = x.data - mu[None, :, None]
+        var = np.einsum("bcl,bcl->c", xc, xc) / (b * length)
+        del xc  # freed before the caller allocates its output
+        state.mean *= momentum
+        state.mean += (1.0 - momentum) * (mu if bias is None else mu + bias.data)
+        state.var *= momentum
+        state.var += (1.0 - momentum) * var
+    else:
+        mu = state.mean.copy() if bias is None else state.mean - bias.data
+        var = state.var
+    ivar = 1.0 / np.sqrt(var + eps)
+    a_ch = gamma.data * ivar
+    return mu, ivar, a_ch, beta.data - a_ch * mu
+
+
+def _bn_backward(g, x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
+                 train: bool, mu, ivar, a_ch, g_scratch: bool = False) -> None:
+    """Accumulate batch-norm's gradients given g, the gradient of its
+    output; in infer mode a folded bias gets one too. With g_scratch the
+    caller's g buffer is reused for dx."""
+    gsum = g.sum(axis=(0, 2))
+    if gamma.requires_grad or (x.requires_grad and train):
+        # sum(g * xh) without materializing xh = (x - mu) * ivar
+        gxh = (np.einsum("bcl,bcl->c", g, x.data) - mu * gsum) * ivar
+    if gamma.requires_grad:
+        gamma.accumulate_owned(gxh)
+    if beta.requires_grad:
+        beta.accumulate_owned(gsum)
+    if not train and bias is not None and bias.requires_grad:
+        bias.accumulate_owned(gsum * a_ch)
+    if x.requires_grad:
+        if train:
+            # dL/dx = a * (g - (gsum + xh * gxh) / m), expanded in x:
+            # a*g - c1*x + c0 with c1 = a*ivar*gxh/m, c0 = c1*mu - a*gsum/m
+            m = x.data.shape[0] * x.data.shape[2]
+            c1 = a_ch * ivar * gxh / m
+            c0 = c1 * mu - a_ch * gsum / m
+            dx = np.multiply(x.data, -c1[None, :, None])
+            dx += c0[None, :, None]
+            dx += np.multiply(g, a_ch[None, :, None], out=g if g_scratch else None)
+        else:
+            dx = np.multiply(g, a_ch[None, :, None], out=g if g_scratch else None)
+        x.accumulate_owned(dx)
+
+
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 train: bool, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,
                 bias: Tensor | None = None) -> Tensor:
@@ -506,68 +569,31 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     mode ignores it (it gets no gradient) except that the running mean
     tracks mean(x + bias); infer mode moves it into the shift.
     """
-    if x.data.ndim != 3:
-        raise ValueError("batchnorm1d expects x [B, C, L]")
-    b, c, length = x.data.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError("gamma/beta must have shape [C]")
-    if bias is not None and bias.data.shape != (c,):
-        raise ValueError("bias must have shape [C]")
-    m = b * length
-    if train:
-        if b < 2:
-            raise ValueError("batchnorm in train mode needs batch >= 2")
-        mu = x.data.mean(axis=(0, 2))
-        xc = x.data - mu[None, :, None]
-        var = np.einsum("bcl,bcl->c", xc, xc) / m
-        del xc  # freed before out is allocated: one fewer [B, C, L] at peak
-        state.mean *= momentum
-        state.mean += (1.0 - momentum) * (mu if bias is None else mu + bias.data)
-        state.var *= momentum
-        state.var += (1.0 - momentum) * var
-    else:
-        mu = state.mean.copy() if bias is None else state.mean - bias.data
-        var = state.var
-    ivar = 1.0 / np.sqrt(var + eps)
+    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, eps,
+                                             momentum, bias)
     # two passes: out = x * (gamma*ivar) + (beta - gamma*ivar*mu)
-    a_ch = gamma.data * ivar
     out = x.data * a_ch[None, :, None]
-    out += (beta.data - a_ch * mu)[None, :, None]
+    out += shift[None, :, None]
     parents = (x, gamma, beta) if train or bias is None else (x, gamma, beta, bias)
 
     def back(g):
-        gsum = g.sum(axis=(0, 2))
-        if gamma.requires_grad or (x.requires_grad and train):
-            # sum(g * xh) without materializing xh = (x - mu) * ivar
-            gxh = (np.einsum("bcl,bcl->c", g, x.data) - mu * gsum) * ivar
-        if gamma.requires_grad:
-            gamma.accumulate_owned(gxh)
-        if beta.requires_grad:
-            beta.accumulate_owned(gsum)
-        if not train and bias is not None and bias.requires_grad:
-            bias.accumulate_owned(gsum * a_ch)
-        if x.requires_grad:
-            if train:
-                # dL/dx = a * (g - (gsum + xh * gxh) / m), expanded in x:
-                # a*g - c1*x + c0 with c1 = a*ivar*gxh/m, c0 = c1*mu - a*gsum/m
-                c1 = a_ch * ivar * gxh / m
-                c0 = c1 * mu - a_ch * gsum / m
-                dx = np.multiply(x.data, -c1[None, :, None])
-                dx += c0[None, :, None]
-                dx += g * a_ch[None, :, None]
-            else:
-                dx = g * a_ch[None, :, None]
-            x.accumulate_owned(dx)
+        _bn_backward(g, x, gamma, beta, bias, train, mu, ivar, a_ch)
 
     return _node(out, parents, back, "batchnorm")
+
+
+def _check_dropout_rate(rate: float, in_bytes: bool = False) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if in_bytes and not float(rate * 256).is_integer():
+        raise ValueError(f"dropout rate must be a multiple of 1/256, got {rate}")
 
 
 def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept activations are scaled by 1/(1-rate). The
     keep-mask is one draw from rng over x's whole shape
     (rng.random(shape) >= rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    _check_dropout_rate(rate)
     if not train or rate == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))
@@ -577,6 +603,135 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Te
             x.accumulate_owned(g * mask)
 
     return _node(x.data * mask, (x,), back, "dropout")
+
+
+def byte_keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Boolean dropout keep-mask of `shape`, one random byte per element:
+    byte >= 256*rate, so each element is kept with probability exactly
+    1 - rate. The rate must be a multiple of 1/256."""
+    _check_dropout_rate(rate, in_bytes=True)
+    n = math.prod(shape)
+    return (np.frombuffer(rng.bytes(n), np.uint8) >= int(rate * 256)).reshape(shape)
+
+
+def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray) -> np.ndarray:
+    """Max of each non-overlapping pool window of v [B, C, L], the min on
+    the channels listed in `neg`; a trailing remainder is dropped."""
+    if pool == 1:
+        return v
+    b, c, length = v.shape
+    lo = length // pool
+    if pool == 2:
+        left, right = v[..., 0:2 * lo:2], v[..., 1:2 * lo:2]
+        out = np.maximum(left, right)
+        if neg.size:
+            out[:, neg] = np.minimum(left[:, neg], right[:, neg])
+        return out
+    view = v[:, :, :lo * pool].reshape(b, c, lo, pool)
+    out = view.max(axis=-1)
+    if neg.size:
+        out[:, neg] = view[:, neg].min(axis=-1)
+    return out
+
+
+def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray):
+    """Which element of each window _pool_max took, ties going to the first:
+    for pool 2 a bool, True for the right one; otherwise its index."""
+    if pool == 1:
+        return None
+    b, c, length = v.shape
+    lo = length // pool
+    if pool == 2:
+        left, right = v[..., 0:2 * lo:2], v[..., 1:2 * lo:2]
+        second = right > left  # strict: ties stay with the first element
+        if neg.size:
+            second[:, neg] = right[:, neg] < left[:, neg]
+        return second
+    view = v[:, :, :lo * pool].reshape(b, c, lo, pool)
+    am = view.argmax(axis=-1)
+    if neg.size:
+        am[:, neg] = view[:, neg].argmin(axis=-1)
+    return am
+
+
+def _pool_scatter(g: np.ndarray, gate: np.ndarray, winner, pool: int,
+                  shape) -> np.ndarray:
+    """A new [B, C, L] array holding g at the window winners where gate is
+    True, zero elsewhere."""
+    if pool == 1:
+        return g * gate
+    b, c, length = shape
+    lo = length // pool
+    if pool == 2:
+        full = np.empty(shape)
+        full[:, :, 2 * lo:] = 0.0
+        np.multiply(g, gate & winner, out=full[..., 1:2 * lo:2])
+        np.multiply(g, gate & ~winner, out=full[..., 0:2 * lo:2])
+        return full
+    full = np.zeros(shape)
+    buf = full[:, :, :lo * pool].reshape(b, c, lo, pool)
+    np.put_along_axis(buf, winner[..., None], (g * gate)[..., None], axis=-1)
+    return full
+
+
+def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
+                         train: bool, rate: float, rng: np.random.Generator | None,
+                         pool: int, bias: Tensor | None = None, eps: float = BN_EPS,
+                         momentum: float = BN_MOMENTUM) -> Tensor:
+    """batchnorm1d -> relu -> dropout -> maxpool1d on [B, C, L] as one node.
+
+    Train mode: y = x*a + shift with batch statistics (the running
+    statistics update as in batchnorm1d), y *= keep, pool, scale by
+    1/(1-rate), then relu. Relu after the pool is exact: it commutes with
+    max and with a mask >= 0. The keep-mask is one byte_keep_mask draw
+    from rng over the whole tensor. The node keeps only the pool winners
+    and its output: the gradient passes where out > 0, which also means
+    the winner was kept.
+
+    Infer mode: batch-norm is the per-channel map x*a + shift, monotone
+    in x and so in its rounded value, so the raw x is pooled first (max
+    where a >= 0, min where a < 0) and the map and relu run on the pooled
+    values only; the output is bitwise that of the composed ops.
+
+    Pool windows and ties follow maxpool1d; pool 1 means no pool.
+    """
+    if pool < 1:
+        raise ValueError(f"pool must be >= 1, got {pool}")
+    _check_dropout_rate(rate, in_bytes=True)
+    shape = x.data.shape
+    if len(shape) == 3 and shape[2] < pool:
+        raise ValueError(f"signal of length {shape[2]} shorter than pool {pool}")
+    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, eps,
+                                             momentum, bias)
+    drop = train and rate != 0.0
+    if train:
+        y = x.data * a_ch[None, :, None]
+        y += shift[None, :, None]
+        if drop:
+            np.multiply(y, byte_keep_mask(rng, shape, rate), out=y)
+        neg = np.empty(0, dtype=np.intp)
+        winner = _pool_winner(y, pool, neg)
+        out = _pool_max(y, pool, neg)
+        del y
+        if drop:
+            out *= 1.0 / (1.0 - rate)
+        parents = (x, gamma, beta)
+    else:
+        neg = np.flatnonzero(a_ch < 0.0)
+        winner = None   # found from x in backward, only if a gradient is asked for
+        out = _pool_max(x.data, pool, neg) * a_ch[None, :, None]
+        out += shift[None, :, None]
+        parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
+    np.maximum(out, 0.0, out=out)
+
+    def back(g):
+        if drop:
+            g = g * (1.0 / (1.0 - rate))
+        win = winner if train else _pool_winner(x.data, pool, neg)
+        gy = _pool_scatter(g, out > 0.0, win, pool, shape)
+        _bn_backward(gy, x, gamma, beta, bias, train, mu, ivar, a_ch, g_scratch=True)
+
+    return _node(out, parents, back, "bn_relu_dropout_pool")
 
 
 def weighted_bce(pred: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:

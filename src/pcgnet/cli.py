@@ -151,10 +151,11 @@ def cmd_ingest(args, argv) -> int:
                                              label=meta.label, subset=meta.subset))
         except dat.SegmentationError as e:
             skipped.append((rid, e.reason))
+    if not cycles:
+        reasons = "; ".join(f"{rid}: {reason}" for rid, reason in skipped)
+        raise DataError(f"no recordings produced cycles ({reasons})")
     for rid, reason in skipped:
         print(f"skipped {rid}: {reason}", file=sys.stderr)
-    if not cycles:
-        raise DataError("no recordings produced cycles")
     store = dat.CycleStore.from_cycles(cycles)
     store_path = out / "cycles.bin"
     store.save(store_path)

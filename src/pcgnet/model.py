@@ -9,10 +9,14 @@ hidden layer of 20 relu units and one sigmoid output.
 The four branches run as two grouped stages. Each stage stores the
 parameters of all four branches stacked branch-major on the output
 channels (one kernel, bias, gamma and beta tensor, one set of running
-statistics) and is a single grouped convolution, batch-norm, relu,
-dropout and pool over [batch, 4*filters, length]. The checkpoint still
-stores each branch's arrays under its own names; `Network.branches` gives
-them as views of the stage arrays.
+statistics) and is a single grouped convolution followed by one fused
+node, `autodiff.bn_relu_dropout_pool`, over [batch, 4*filters, length].
+In training the node draws the stage's dropout keep-mask from random
+bytes, so dropout rates go in steps of 1/256. In inference it pools the
+raw convolution output sign-aware (max where the batch-norm scale is
+>= 0, min where it is < 0) and applies batch-norm and relu to the pooled
+half only. The checkpoint still stores each branch's arrays under its
+own names; `Network.branches` gives them as views of the stage arrays.
 
 Every network takes raw cycles [batch, input_len]. The front-end is either
 one of the learnable band-splitting layers or "external_fir": the network
@@ -87,6 +91,8 @@ class NetworkConfig:
             raise ValueError("pool must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if not float(self.dropout * 256).is_integer():   # the keep-mask compares bytes
+            raise ValueError(f"dropout must be a multiple of 1/256, got {self.dropout!r}")
         if not self.l2_conv >= 0.0:
             raise ValueError(f"l2_conv must be >= 0, got {self.l2_conv!r}")
 
@@ -227,11 +233,8 @@ class Network:
         h = bands
         for st in (self.stage1, self.stage2):
             h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
-            h = ad.batchnorm1d(h, st.gamma, st.beta, st.state, train, bias=st.b)
-            h = ad.relu(h)
-            if train:
-                h = ad.dropout(h, cfg.dropout, train, rng)
-            h = ad.maxpool1d(h, cfg.pool)
+            h = ad.bn_relu_dropout_pool(h, st.gamma, st.beta, st.state, train,
+                                        cfg.dropout, rng, cfg.pool, bias=st.b)
         # [B, bands*filters, L'] flattens branch-major: each branch's
         # features form one contiguous block of the head's input
         z = ad.reshape(h, (n, -1))

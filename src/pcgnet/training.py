@@ -41,6 +41,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 2:   # train-mode batch-norm needs two samples
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 def effective_lr(cfg: TrainConfig, t: int) -> float:

@@ -77,9 +77,9 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
     """Network.forward rebuilt as one op chain per branch, the way the
     grouped branch stage is defined: slice -> conv -> add_channel_bias ->
     batch-norm -> relu -> dropout -> pool, twice, for each band in turn.
-    Dropout draws each stage's keep-mask over all branches in one draw,
-    stage 1 first, as the grouped stage does, and multiplies branch i by
-    its slice.
+    Dropout draws each stage's keep-mask over all branches in one draw of
+    random bytes (byte >= 256*rate), stage 1 first, as the fused stage
+    node does, and multiplies branch i by its slice.
     Each branch's parameters are slices of the stage tensors, so their
     gradients land on the stage parameters. The zero-phase front-end's
     reverse pass is likewise one conv per band.
@@ -88,6 +88,8 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
     branch (see branch_states), so the network's own running statistics
     stay untouched.
     """
+    import numpy as np
+
     import pcgnet.autodiff as ad
 
     cfg = net.config
@@ -118,7 +120,9 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
             h = ad.relu(h)
             if train and cfg.dropout > 0.0:
                 if s not in scaled_keep:
-                    keep = rng.random((n, cfg.bands * c, h.data.shape[-1])) >= cfg.dropout
+                    shape = (n, cfg.bands * c, h.data.shape[-1])
+                    keep = np.frombuffer(rng.bytes(int(np.prod(shape))), np.uint8) \
+                        .reshape(shape) >= 256 * cfg.dropout
                     scaled_keep[s] = keep / (1.0 - cfg.dropout)
                 h = ad.mul(h, ad.tensor(scaled_keep[s][:, i * c:(i + 1) * c]))
             h = ad.maxpool1d(h, cfg.pool)

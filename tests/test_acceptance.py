@@ -155,6 +155,18 @@ def test_gradient_suite():
     xdr = ad.Tensor(rng.normal(size=(2, 2, 10)), requires_grad=True)
     check(lambda: ad.tsum(ad.dropout(xdr, 0.4, True, np.random.default_rng(5))), [xdr])
 
+    # the fused stage node, both modes, one gamma negative; a fresh rng per
+    # call gives every probe the same keep-mask
+    rng_s = np.random.default_rng(73)
+    xs = ad.Tensor(rng_s.normal(size=(4, 3, 9)), requires_grad=True)
+    gs = ad.Tensor(np.array([1.1, -0.9, 0.8]), requires_grad=True)
+    bs = ad.Tensor(rng_s.normal(size=3), requires_grad=True)
+    coef_s = rng_s.normal(size=(4, 3, 4))
+    for train in (True, False):
+        check(lambda: ad.tsum(ad.mul(ad.bn_relu_dropout_pool(
+            xs, gs, bs, st.copy(), train, 0.5, np.random.default_rng(6), 2),
+            ad.tensor(coef_s))), [xs, gs, bs], tol=1e-4)
+
     pb = ad.Tensor(rng.uniform(0.1, 0.9, size=5), requires_grad=True)
     yb = np.array([1, 0, 1, 0, 1])
     wb = rng.uniform(0.5, 2.0, size=5)

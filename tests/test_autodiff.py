@@ -396,6 +396,112 @@ class TestDropout:
         assert np.array_equal(x.grad, out.data)  # mask * 2 where kept
 
 
+class TestBnReluDropoutPool:
+    """The fused stage node against batchnorm1d -> relu -> dropout -> maxpool1d."""
+
+    @staticmethod
+    def _inputs(length, seed=41, channels=4):
+        """x, gamma (two channels negative), beta, folded bias and running
+        statistics away from their defaults."""
+        rng = np.random.default_rng(seed)
+        x = ad.Tensor(rng.normal(size=(5, channels, length)), requires_grad=True)
+        gamma = ad.Tensor(rng.normal(1.0, 0.3, size=channels) * np.tile([1, -1], channels // 2),
+                          requires_grad=True)
+        beta = ad.Tensor(rng.normal(size=channels), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=channels), requires_grad=True)
+        st = ad.BatchNormState(channels)
+        st.mean = rng.normal(size=channels)
+        st.var = rng.uniform(0.5, 2.0, size=channels)
+        return x, gamma, beta, bias, st
+
+    @staticmethod
+    def _composed(x, gamma, beta, bias, st, train, rate, pool, mask_seed):
+        h = ad.relu(ad.batchnorm1d(x, gamma, beta, st, train, bias=bias))
+        if train and rate > 0.0:
+            keep = ad.byte_keep_mask(np.random.default_rng(mask_seed), h.shape, rate)
+            h = ad.mul(h, ad.tensor(keep / (1.0 - rate)))
+        return ad.maxpool1d(h, pool)
+
+    @pytest.mark.parametrize("pool, length", [(1, 12), (2, 12), (2, 13), (3, 14)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches_composed_ops(self, train, pool, length):
+        x, gamma, beta, bias, st = self._inputs(length)
+        coef = np.random.default_rng(42).normal(size=(5, 4, length // pool))
+        params = (x, gamma, beta, bias)
+        results = []
+        for fused in (False, True):
+            state = st.copy()
+            for p in params:
+                p.zero_grad()
+            if fused:
+                out = ad.bn_relu_dropout_pool(x, gamma, beta, state, train, 0.25,
+                                              np.random.default_rng(6), pool, bias=bias)
+            else:
+                out = self._composed(x, gamma, beta, bias, state, train, 0.25, pool, 6)
+            ad.backward(ad.tsum(ad.mul(out, ad.tensor(coef))))
+            results.append((out.data, [p.grad for p in params], state))
+        (want, want_grads, want_st), (got, got_grads, got_st) = results
+        if train:
+            assert np.abs(got - want).max() < 1e-12
+            assert np.count_nonzero(got) > 0
+        else:
+            assert np.array_equal(got, want)   # bitwise: the fold is exact
+        for g, w in zip(got_grads, want_grads):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert np.abs(g - w).max() < 1e-12
+        assert np.abs(got_st.mean - want_st.mean).max() < 1e-12
+        assert np.abs(got_st.var - want_st.var).max() < 1e-12
+
+    @pytest.mark.parametrize("pool, length", [(1, 6), (2, 7), (3, 8)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_gradients_match_finite_differences(self, train, pool, length):
+        x, gamma, beta, bias, st = self._inputs(length, seed=43)
+        coef = np.random.default_rng(44).normal(size=(5, 4, length // pool))
+
+        def f():
+            # the same mask and running statistics on every probe
+            y = ad.bn_relu_dropout_pool(x, gamma, beta, st.copy(), train, 0.5,
+                                        np.random.default_rng(9), pool, bias=bias)
+            return ad.tsum(ad.mul(y, ad.tensor(coef)))
+
+        params = (x, gamma, beta) if train else (x, gamma, beta, bias)
+        for p in params:
+            num = numeric_gradient(f, p)
+            (ana,) = analytic_gradient(f, [p])
+            assert np.count_nonzero(ana) > 0
+            assert relative_error(ana, num) < 1e-4
+
+    def test_one_byte_mask_draw(self):
+        x, gamma, beta, bias, st = self._inputs(10)
+        rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+        ad.bn_relu_dropout_pool(x, gamma, beta, st, True, 0.5, rng, 2)
+        twin.bytes(x.data.size)
+        assert rng.bytes(16) == twin.bytes(16)
+        # no draw without dropout, nor in infer mode
+        for train, rate in ((True, 0.0), (False, 0.5)):
+            ad.bn_relu_dropout_pool(x, gamma, beta, st, train, rate, rng, 2)
+        assert rng.bytes(16) == twin.bytes(16)
+
+    def test_byte_keep_mask(self):
+        keep = ad.byte_keep_mask(np.random.default_rng(77), (4, 5000), 0.25)
+        assert keep.dtype == bool and keep.shape == (4, 5000)
+        assert abs(keep.mean() - 0.75) < 0.01
+        again = np.frombuffer(np.random.default_rng(77).bytes(20_000), np.uint8) >= 64
+        assert np.array_equal(keep.reshape(-1), again)
+        assert ad.byte_keep_mask(np.random.default_rng(0), (100,), 0.0).all()
+
+    def test_rejects_bad_arguments(self):
+        x, gamma, beta, bias, st = self._inputs(10)
+        rng = np.random.default_rng(0)
+        for rate in (0.3, 1.0, -0.5):   # 0.3 is not a multiple of 1/256
+            with pytest.raises(ValueError):
+                ad.bn_relu_dropout_pool(x, gamma, beta, st, True, rate, rng, 2)
+        for pool in (0, 11):
+            with pytest.raises(ValueError):
+                ad.bn_relu_dropout_pool(x, gamma, beta, st, True, 0.5, rng, pool)
+
+
 class TestNoGrad:
     def test_ops_build_no_graph(self):
         x = ad.tensor(np.ones((4, 2)))

@@ -1,14 +1,20 @@
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcgnet
 from pcgnet.cli import main
-from pcgnet.data import MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest
+from pcgnet.data import (MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest,
+                         write_wav)
+from pcgnet.dsp import Waveform
 from pcgnet.fir import bank_from_json, default_bank, frequency_response
 from pcgnet.model import CKPT_MAGIC, NetworkConfig, build, load, save
 
@@ -108,6 +114,20 @@ class TestSynthIngestFolds:
                      "--labels", str(tmp_path / "labels.csv"),
                      "--out", str(tmp_path / "o")]) == 3
 
+    def test_ingest_with_every_recording_skipped_is_one_line(self, tmp_path, capsys):
+        (tmp_path / "w").mkdir()
+        short = Waveform(np.random.default_rng(0).normal(0.0, 0.1, size=3000), 2000.0)
+        for rid in ("r0", "r1"):
+            write_wav(tmp_path / "w" / f"{rid}.wav", short)    # 1.5 s < 3 s
+        (tmp_path / "labels.csv").write_text("id,label\nr0,1\nr1,-1\n")
+        capsys.readouterr()
+        assert main(["ingest", "--wav-dir", str(tmp_path / "w"),
+                     "--labels", str(tmp_path / "labels.csv"),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: no recordings produced cycles")
+        assert "r0: too short" in err[0] and "r1: too short" in err[0]
+        assert not (tmp_path / "o" / "cycles.bin").exists()
 
     @pytest.mark.parametrize("text", [None, "id,label\nrec1\n"])
     def test_bad_label_manifest_is_data_error(self, pipeline, tmp_path, capsys, text):
@@ -223,6 +243,29 @@ class TestTrainEval:
         counts = sum(int(row[c]) for c in ("tp", "tn", "fp", "fn"))
         assert counts == 2  # 6+6 recordings: each fold validates 1+1
 
+    def test_artifacts_equal_across_blas_thread_counts(self, pipeline, tmp_path):
+        # train and eval in fresh processes, so the thread count is set
+        # before numpy loads its BLAS
+        src = str(Path(pcgnet.__file__).resolve().parent.parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            run = tmp_path / f"t{threads}"
+            common = ["--cycles", str(pipeline / "store" / "cycles.bin"),
+                      "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0"]
+            for argv in (["train", *common, "--frontend", "lp", "--epochs", "1",
+                          "--batch-size", "16", "--seed", "3", "--out", str(run)],
+                         ["eval", *common, "--ckpt", str(run / "checkpoint.ckpt"),
+                          "--out", str(run / "ev")]):
+                done = subprocess.run([sys.executable, "-m", "pcgnet.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+            digests.append([digest(run / name) for name in
+                            ("checkpoint.ckpt", "history.csv", "ev/eval.csv")])
+        assert digests[0] == digests[1]
+
     def test_invalid_combo_is_usage_error(self, pipeline, tmp_path):
         assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
                      "--folds", str(pipeline / "folds" / "folds.csv"),
@@ -275,6 +318,7 @@ class TestTrainEval:
         ("epochs", "x"), ("epochs", True), ("batch_size", 1.5), ("pool", None),
         ("dropout", "x"), ("dropout", 1.0), ("lr0", [0.1]), ("l2_conv", -0.5),
         ("class_weights", [1.0]), ("class_weights", [1.0, 0.0]), ("class_weights", "x"),
+        ("dropout", 0.3), ("batch_size", 1),
     ])
     def test_bad_config_value_is_usage_error(self, pipeline, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
@@ -287,6 +331,18 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
         assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("batch_size", ["1", "0"])
+    def test_batch_size_below_two_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                 batch_size):
+        capsys.readouterr()
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0",
+                     "--epochs", "1", "--batch-size", batch_size,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "batch_size" in err[0]
+        assert not (tmp_path / "run" / "history.csv").exists()
 
     @pytest.mark.parametrize("input_len", [100, 2501])
     def test_input_len_is_not_a_config_key(self, pipeline, tmp_path, capsys, input_len):
@@ -326,6 +382,19 @@ class TestTrainEval:
                      "--fold", "0", "--out", str(tmp_path / "ev")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "he" in err[0]
+
+    def test_checkpoint_with_dropout_off_the_byte_grid_is_data_error(
+            self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save(build(NetworkConfig(frontend="tconv_lp", init="random")), str(ckpt))
+        rewrite_config(ckpt, dropout=0.3)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt),
+                     "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "0", "--out", str(tmp_path / "ev")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "1/256" in err[0]
 
 
 class TestReport:

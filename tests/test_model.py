@@ -105,8 +105,8 @@ class TestBuild:
             NetworkConfig(hidden=21)
         with pytest.raises(ValueError):
             NetworkConfig(frontend="tconv_free", init="he")
-        for bad in ({"dropout": 1.0}, {"dropout": -0.1}, {"l2_conv": -1e-3},
-                    {"l2_conv": float("nan")}):
+        for bad in ({"dropout": 1.0}, {"dropout": -0.1}, {"dropout": 0.3},
+                    {"dropout": 1 / 512}, {"l2_conv": -1e-3}, {"l2_conv": float("nan")}):
             with pytest.raises(ValueError):
                 NetworkConfig(**bad)
 
@@ -150,6 +150,18 @@ class TestForward:
             for shape in ((2, 1, 100), (2, 4, 100), (2, 101)):
                 with pytest.raises(ValueError):
                     net.forward(np.zeros(shape))
+
+    def test_dropout_rates_in_steps_of_1_256(self):
+        for rate in (0.0, 1 / 256, 0.25, 0.5, 255 / 256):
+            assert NetworkConfig(dropout=rate).dropout == rate
+
+    def test_train_forward_draws_one_byte_mask_per_stage(self):
+        net = build(NetworkConfig(frontend="tconv_lp", input_len=300, seed=0))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        net.forward(np.random.default_rng(1).normal(size=(6, 300)), train=True, rng=rng)
+        twin.bytes(6 * 32 * 296)          # stage 1: [6, 4*8, 300 - 4]
+        twin.bytes(6 * 16 * (148 - 4))    # stage 2: [6, 4*4, 296 // 2 - 4]
+        assert rng.bytes(64) == twin.bytes(64)
 
     def test_train_mode_requires_rng(self):
         net = build(NetworkConfig(frontend="tconv_free", init="random",
