@@ -450,24 +450,6 @@ def maxpool1d(x: Tensor, pool: int) -> Tensor:
     if lo == 0:
         raise ValueError(f"signal of length {length} shorter than pool {pool}")
     view = x.data[:, :, :lo * pool].reshape(b, c, lo, pool)
-
-    if pool == 2:
-        left = view[..., 0]
-        right = view[..., 1]
-        out = np.maximum(left, right)
-
-        def back(g):
-            if x.requires_grad:
-                second = right > left  # strict: ties stay with the first element
-                full = np.empty_like(x.data)
-                full[:, :, lo * pool:] = 0.0
-                buf = full[:, :, :lo * pool].reshape(b, c, lo, pool)
-                np.multiply(g, second, out=buf[..., 1])
-                np.multiply(g, ~second, out=buf[..., 0])
-                x.accumulate_owned(full)
-
-        return _node(out, (x,), back, "maxpool")
-
     am = view.argmax(axis=-1)  # argmax takes the first maximum
 
     def back(g):
@@ -614,44 +596,49 @@ def byte_keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     return (np.frombuffer(rng.bytes(n), np.uint8) >= int(rate * 256)).reshape(shape)
 
 
+def _pool_views(v: np.ndarray, pool: int) -> list[np.ndarray]:
+    """The pool strided views of v [..., L], view j holding element j of
+    each non-overlapping window; a trailing remainder is dropped."""
+    n = v.shape[-1] // pool * pool
+    return [v[..., j:n:pool] for j in range(pool)]
+
+
 def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray) -> np.ndarray:
     """Max of each non-overlapping pool window of v [B, C, L], the min on
     the channels listed in `neg`; a trailing remainder is dropped."""
     if pool == 1:
         return v
-    b, c, length = v.shape
-    lo = length // pool
-    if pool == 2:
-        left, right = v[..., 0:2 * lo:2], v[..., 1:2 * lo:2]
-        out = np.maximum(left, right)
-        if neg.size:
-            out[:, neg] = np.minimum(left[:, neg], right[:, neg])
-        return out
-    view = v[:, :, :lo * pool].reshape(b, c, lo, pool)
-    out = view.max(axis=-1)
+    views = _pool_views(v, pool)
+    out = np.maximum(views[0], views[1])
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
     if neg.size:
-        out[:, neg] = view[:, neg].min(axis=-1)
+        low = np.minimum(views[0][:, neg], views[1][:, neg])
+        for view in views[2:]:
+            np.minimum(low, view[:, neg], out=low)
+        out[:, neg] = low
     return out
 
 
 def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray):
-    """Which element of each window _pool_max took, ties going to the first:
-    for pool 2 a bool, True for the right one; otherwise its index."""
+    """The offset in its window of the element _pool_max took, ties going
+    to the first: each view is compared with the running best by strict >
+    (strict < on `neg`)."""
     if pool == 1:
         return None
-    b, c, length = v.shape
-    lo = length // pool
-    if pool == 2:
-        left, right = v[..., 0:2 * lo:2], v[..., 1:2 * lo:2]
-        second = right > left  # strict: ties stay with the first element
+    views = _pool_views(v, pool)
+    best = views[0]
+    for j, view in enumerate(views[1:], 1):
+        take = view > best
         if neg.size:
-            second[:, neg] = right[:, neg] < left[:, neg]
-        return second
-    view = v[:, :, :lo * pool].reshape(b, c, lo, pool)
-    am = view.argmax(axis=-1)
-    if neg.size:
-        am[:, neg] = view[:, neg].argmin(axis=-1)
-    return am
+            take[:, neg] = view[:, neg] < best[:, neg]
+        if j == 1:   # the bool is offset 0 or 1 as it stands
+            winner = take.view(np.uint8).astype(np.min_scalar_type(pool - 1), copy=False)
+        else:
+            winner[take] = j
+        if j < pool - 1:
+            best = np.where(take, view, best)
+    return winner
 
 
 def _pool_scatter(g: np.ndarray, gate: np.ndarray, winner, pool: int,
@@ -660,17 +647,10 @@ def _pool_scatter(g: np.ndarray, gate: np.ndarray, winner, pool: int,
     True, zero elsewhere."""
     if pool == 1:
         return g * gate
-    b, c, length = shape
-    lo = length // pool
-    if pool == 2:
-        full = np.empty(shape)
-        full[:, :, 2 * lo:] = 0.0
-        np.multiply(g, gate & winner, out=full[..., 1:2 * lo:2])
-        np.multiply(g, gate & ~winner, out=full[..., 0:2 * lo:2])
-        return full
-    full = np.zeros(shape)
-    buf = full[:, :, :lo * pool].reshape(b, c, lo, pool)
-    np.put_along_axis(buf, winner[..., None], (g * gate)[..., None], axis=-1)
+    full = np.empty(shape)
+    full[..., shape[-1] // pool * pool:] = 0.0
+    for j, view in enumerate(_pool_views(full, pool)):
+        np.multiply(g, gate & (winner == j), out=view)
     return full
 
 

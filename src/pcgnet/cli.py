@@ -15,7 +15,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -103,7 +102,11 @@ def cmd_design(args, argv) -> int:
 
 def cmd_response(args, argv) -> int:
     out = _out_dir(args.out)
-    filt = fir.filter_from_json(Path(args.filter).read_text())
+    try:
+        blob = Path(args.filter).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read filter {args.filter}: {e}") from None
+    filt = fir.filter_from_json(blob)
     rpath = out / "response.csv"
     _write_response_csv(rpath, filt, args.points)
     _write_manifest(out, argv, None, [Path(args.filter)], [rpath])
@@ -192,15 +195,6 @@ def cmd_folds(args, argv) -> int:
 # --config keys, by the config object each one sets
 NETWORK_KEYS = ("dropout", "l2_conv", "pool", "kernel_len")
 TRAIN_KEYS = ("lr0", "lr_decay", "batch_size", "epochs", "class_weights")
-# keys that take an integer; the rest but class_weights take any number
-INT_KEYS = ("pool", "kernel_len", "batch_size", "epochs")
-
-
-def _is_number(value) -> bool:
-    """An int or a finite float, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _read_config(path: str | None) -> dict:
@@ -215,17 +209,6 @@ def _read_config(path: str | None) -> dict:
     unknown = sorted(set(overrides) - set(NETWORK_KEYS) - set(TRAIN_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    for key, value in overrides.items():
-        if key in INT_KEYS:
-            ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-        elif key == "class_weights":
-            ok = value is None or (isinstance(value, list) and len(value) == 2
-                                   and all(_is_number(v) and v > 0 for v in value))
-            want = "null or a list of two positive numbers"
-        else:
-            ok, want = _is_number(value), "a number"
-        if not ok:
-            raise ValueError(f"config key {key!r} in {path} must be {want}, got {value!r}")
     return overrides
 
 
@@ -244,7 +227,7 @@ def _network_config(args, overrides: dict, input_len: int) -> mdl.NetworkConfig:
 def _train_config(args, overrides: dict) -> trn.TrainConfig:
     cfg = trn.TrainConfig(seed=args.seed)
     keys = {k: v for k, v in overrides.items() if k in TRAIN_KEYS}
-    if keys.get("class_weights") is not None:
+    if isinstance(keys.get("class_weights"), list):
         keys["class_weights"] = tuple(keys["class_weights"])
     cfg = replace(cfg, **keys)
     if args.epochs is not None:
@@ -318,20 +301,47 @@ def cmd_eval(args, argv) -> int:
     return 0
 
 
+EVAL_RATES = ("sensitivity_pct", "specificity_pct", "macc_pct")
+
+
+def _read_eval_rows(path: Path) -> list[dict]:
+    """The rows of one eval CSV as {config: str, fold: int, each of
+    EVAL_RATES: float in [0, 100]}; anything else is a DataError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    missing = [c for c in ("config", "fold", *EVAL_RATES) if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DataError(f"{path} has no column {', '.join(missing)}")
+    out = []
+    for n, row in enumerate(rows, 1):
+        try:
+            parsed = {"config": row["config"], "fold": int(row["fold"]),
+                      **{c: float(row[c]) for c in EVAL_RATES}}
+            ok = parsed["config"] is not None and all(0.0 <= parsed[c] <= 100.0
+                                                      for c in EVAL_RATES)
+        except (TypeError, ValueError):   # a missing field is None
+            ok = False
+        if not ok:
+            raise DataError(f"{path} row {n} is not a config name, an integer fold "
+                            f"and three percentages: {row!r}")
+        out.append(parsed)
+    return out
+
+
 def cmd_report(args, argv) -> int:
     out = _out_dir(args.out)
     runs = Path(args.runs)
     eval_files = sorted(runs.rglob("eval*.csv"))
     if not eval_files:
         raise DataError(f"no eval CSV files under {runs}")
-    rows = []
-    for path in eval_files:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                rows.append(row)
     by_config: dict[str, list[dict]] = {}
-    for row in rows:
-        by_config.setdefault(row["config"], []).append(row)
+    for path in eval_files:
+        for row in _read_eval_rows(path):
+            by_config.setdefault(row["config"], []).append(row)
     summary = {}
     report_path = out / "report.csv"
     with open(report_path, "w", newline="") as fh:
@@ -341,14 +351,14 @@ def cmd_report(args, argv) -> int:
                     "crossfold_spec_mean", "crossfold_spec_std",
                     "crossfold_macc_mean", "crossfold_macc_std"])
         for name in sorted(by_config):
-            folds = sorted(by_config[name], key=lambda r: int(r["fold"]))
-            sens = [float(r["sensitivity_pct"]) for r in folds]
-            spec = [float(r["specificity_pct"]) for r in folds]
-            macc = [float(r["macc_pct"]) for r in folds]
+            folds = sorted(by_config[name], key=lambda r: r["fold"])
+            sens = [r["sensitivity_pct"] for r in folds]
+            spec = [r["specificity_pct"] for r in folds]
+            macc = [r["macc_pct"] for r in folds]
             stats = {m: trn.cross_fold_summary(v)
                      for m, v in (("sens", sens), ("spec", spec), ("macc", macc))}
             summary[name] = {
-                "folds": [int(r["fold"]) for r in folds],
+                "folds": [r["fold"] for r in folds],
                 "sensitivity_pct": sens, "specificity_pct": spec, "macc_pct": macc,
                 "crossfold": {m: {"mean": s[0], "std": s[1]} for m, s in stats.items()},
             }

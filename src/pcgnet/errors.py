@@ -1,8 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the type check of the
+config dataclasses.
 
 The CLI maps these onto exit codes: usage problems exit 2 (argparse),
 DataError exits 3, NumericalAbort exits 4.
 """
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class DataError(Exception):
@@ -24,3 +31,29 @@ class NumericalAbort(Exception):
 
 class CheckpointError(Exception):
     """A checkpoint file is missing, truncated or malformed."""
+
+
+def is_number(value) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# by the annotation a field is declared with (a string under postponed annotations)
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+    "float": (is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first field of the dataclass instance
+    `obj` whose value does not have the type the field is declared with:
+    an int field takes a non-bool integer, a float field a finite non-bool
+    number, a bool field a bool, a str field a str. Fields of any other
+    declared type are left to the caller."""
+    for f in fields(obj):
+        check = _FIELD_TYPES.get(f.type)
+        if check is not None and not check[0](getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be {check[1]}, got {getattr(obj, f.name)!r}")

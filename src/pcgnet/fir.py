@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import DB_FLOOR, Waveform, unwrap_phase
+from .errors import DataError, check_field_types
 
 # Default band edges (Hz) of the four-band heart-sound filter bank.
 DEFAULT_BANDS = ((25.0, 45.0), (45.0, 80.0), (80.0, 200.0), (200.0, 500.0))
@@ -31,8 +32,11 @@ class FirFilter:
     design_rate_hz: float
 
     def __post_init__(self):
+        check_field_types(self)
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         object.__setattr__(self, "coeffs", coeffs)
+        if coeffs.ndim != 1:
+            raise ValueError(f"coefficients must be one list, got shape {coeffs.shape}")
         if coeffs.size != self.order + 1:
             raise ValueError(f"order {self.order} filter needs {self.order + 1} "
                              f"coefficients, got {coeffs.size}")
@@ -152,22 +156,23 @@ def filter_to_json(filt: FirFilter) -> str:
     return head + f'"coeffs": [{coeffs}]}}'
 
 
-def filter_from_json(text: str) -> FirFilter:
-    obj = json.loads(text)
-    return FirFilter(coeffs=np.array(obj["coeffs"], dtype=np.float64),
-                     order=int(obj["order"]), band_lo_hz=float(obj["band_lo_hz"]),
-                     band_hi_hz=float(obj["band_hi_hz"]),
-                     design_rate_hz=float(obj["design_rate_hz"]))
+def _from_json(text: str | bytes, build):
+    """build(the parsed JSON of text); a malformed text, bytes that are no
+    JSON encoding included, is one DataError."""
+    try:
+        return build(json.loads(text))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed filter JSON: {type(e).__name__}: {e}") from None
+
+
+def filter_from_json(text: str | bytes) -> FirFilter:
+    return _from_json(text, lambda obj: FirFilter(**obj))
 
 
 def bank_to_json(bank: FilterBank) -> str:
     return '{"filters": [' + ", ".join(filter_to_json(f) for f in bank.filters) + "]}"
 
 
-def bank_from_json(text: str) -> FilterBank:
-    obj = json.loads(text)
-    return FilterBank(filters=tuple(
-        FirFilter(coeffs=np.array(f["coeffs"], dtype=np.float64), order=int(f["order"]),
-                  band_lo_hz=float(f["band_lo_hz"]), band_hi_hz=float(f["band_hi_hz"]),
-                  design_rate_hz=float(f["design_rate_hz"]))
-        for f in obj["filters"]))
+def bank_from_json(text: str | bytes) -> FilterBank:
+    return _from_json(text, lambda obj: FilterBank(
+        filters=tuple(FirFilter(**f) for f in obj["filters"])))

@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import CYCLE_LEN, PIPELINE_RATE_HZ
 from .dsp import next_pow2
-from .errors import CheckpointError
+from .errors import CheckpointError, check_field_types
 from .fir import FilterBank, default_bank
 from .frontend import TConvLayer, init_kernel
 
@@ -71,6 +71,7 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.frontend not in FRONTENDS:
             raise ValueError(f"unknown frontend {self.frontend!r}")
         if self.init not in INITS:
@@ -95,6 +96,8 @@ class NetworkConfig:
             raise ValueError(f"dropout must be a multiple of 1/256, got {self.dropout!r}")
         if not self.l2_conv >= 0.0:
             raise ValueError(f"l2_conv must be >= 0, got {self.l2_conv!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def branch_feature_len(input_len: int, kernel: int = 5, pool: int = 2) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import CycleStore
-from .errors import DataError, NumericalAbort
+from .errors import DataError, NumericalAbort, check_field_types, is_number
 from .model import Network, aggregate_recording
 
 ADAM_BETA1 = 0.9
@@ -36,11 +36,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lr0", "lr_decay", "batch_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        weights = self.class_weights
+        if weights is not None and not (isinstance(weights, tuple) and len(weights) == 2
+                                        and all(is_number(w) and w > 0 for w in weights)):
+            raise ValueError(f"class_weights must be null or two positive numbers, "
+                             f"got {weights!r}")
         if self.batch_size < 2:   # train-mode batch-norm needs two samples
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 

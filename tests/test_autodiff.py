@@ -422,11 +422,11 @@ class TestBnReluDropoutPool:
             h = ad.mul(h, ad.tensor(keep / (1.0 - rate)))
         return ad.maxpool1d(h, pool)
 
-    @pytest.mark.parametrize("pool, length", [(1, 12), (2, 12), (2, 13), (3, 14)])
-    @pytest.mark.parametrize("train", [True, False])
-    def test_matches_composed_ops(self, train, pool, length):
-        x, gamma, beta, bias, st = self._inputs(length)
-        coef = np.random.default_rng(42).normal(size=(5, 4, length // pool))
+    def _check_against_composed(self, x, gamma, beta, bias, st, train, pool):
+        """Fused node and composed chain on the same inputs and mask: output,
+        every gradient and the running statistics agree to 1e-12, and the
+        inference output bitwise."""
+        coef = np.random.default_rng(42).normal(size=x.shape[:2] + (x.shape[2] // pool,))
         params = (x, gamma, beta, bias)
         results = []
         for fused in (False, True):
@@ -452,6 +452,28 @@ class TestBnReluDropoutPool:
                 assert np.abs(g - w).max() < 1e-12
         assert np.abs(got_st.mean - want_st.mean).max() < 1e-12
         assert np.abs(got_st.var - want_st.var).max() < 1e-12
+
+    @pytest.mark.parametrize("pool, length", [(1, 12), (2, 12), (2, 13), (3, 14),
+                                              (4, 17), (5, 23)])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_matches_composed_ops(self, train, pool, length):
+        # two of the four channels have gamma < 0: inference pools them by min
+        self._check_against_composed(*self._inputs(length), train, pool)
+
+    @pytest.mark.parametrize("pool", [2, 3, 4, 5])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_tied_windows_match_composed_ops(self, train, pool):
+        x, gamma, beta, bias, st = self._inputs(6 * pool + 1)
+        # three values only: most windows hold a tie for their max and min
+        x.data[...] = np.random.default_rng(45).integers(-1, 2, size=x.shape)
+        self._check_against_composed(x, gamma, beta, bias, st, train, pool)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_pool_wider_than_a_byte(self, train):
+        # rising windows: the max sits at offsets up to 299, past uint8
+        x, gamma, beta, bias, st = self._inputs(601)
+        x.data[...] = np.linspace(-1.0, 1.0, 601) + 0.01 * x.data
+        self._check_against_composed(x, gamma, beta, bias, st, train, 300)
 
     @pytest.mark.parametrize("pool, length", [(1, 6), (2, 7), (3, 8)])
     @pytest.mark.parametrize("train", [True, False])

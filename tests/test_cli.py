@@ -15,10 +15,14 @@ from pcgnet.cli import main
 from pcgnet.data import (MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest,
                          write_wav)
 from pcgnet.dsp import Waveform
+from pcgnet.errors import DataError
 from pcgnet.fir import bank_from_json, default_bank, frequency_response
 from pcgnet.model import CKPT_MAGIC, NetworkConfig, build, load, save
 
 from _reference import REFERENCE_ROWS
+
+EVAL_HEADER = ["config", "fold", "tp", "tn", "fp", "fn",
+               "sensitivity_pct", "specificity_pct", "macc_pct"]
 
 
 def digest(path):
@@ -74,6 +78,37 @@ class TestDesign:
     def test_degenerate_order_rejected(self, tmp_path):
         assert main(["design", "--lo", "25", "--hi", "45", "--order", "0",
                      "--rate", "1000", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t[:-2],                           # bad JSON
+        lambda t: t.replace("[", "[NaN, ", 1),      # NaN, and one coefficient too many
+        lambda t: json.dumps({**json.loads(t), "coeffs": [float("nan")] * 61}),
+        lambda t: json.dumps({**json.loads(t), "coeffs": [0.0] * 60}),
+        lambda t: json.dumps({k: v for k, v in json.loads(t).items() if k != "order"}),
+        lambda t: json.dumps({**json.loads(t), "order": 60.0}),
+        lambda t: json.dumps({**json.loads(t), "band_lo_hz": "45"}),
+        lambda t: json.dumps([json.loads(t)]),
+        lambda t: b"\xff\xfe\xfd",
+    ], ids=["bad-json", "nan-extra-coeff", "nan-coeffs", "60-coeffs", "no-order",
+            "float-order", "string-edge", "list", "not-utf8"])
+    def test_malformed_filter_json_is_data_error(self, tmp_path, capsys, mutate):
+        assert main(["design", "--lo", "45", "--hi", "80", "--order", "60",
+                     "--rate", "1000", "--out", str(tmp_path / "d")]) == 0
+        bad = mutate((tmp_path / "d" / "filter.json").read_text())
+        path = tmp_path / "bad.json"
+        (path.write_bytes if isinstance(bad, bytes) else path.write_text)(bad)
+        capsys.readouterr()
+        assert main(["response", "--filter", str(path), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp_path / "r" / "response.csv").exists()
+
+    def test_bank_json_builds_each_filter_like_one_filter(self, tmp_path):
+        assert main(["design", "--bank", "--out", str(tmp_path)]) == 0
+        obj = json.loads((tmp_path / "bank.json").read_text())
+        obj["filters"][2]["coeffs"][5] = float("nan")
+        with pytest.raises(DataError, match="NaN"):
+            bank_from_json(json.dumps(obj))
 
 
 class TestSynthIngestFolds:
@@ -318,7 +353,8 @@ class TestTrainEval:
         ("epochs", "x"), ("epochs", True), ("batch_size", 1.5), ("pool", None),
         ("dropout", "x"), ("dropout", 1.0), ("lr0", [0.1]), ("l2_conv", -0.5),
         ("class_weights", [1.0]), ("class_weights", [1.0, 0.0]), ("class_weights", "x"),
-        ("dropout", 0.3), ("batch_size", 1),
+        ("dropout", 0.3), ("batch_size", 1), ("pool", 2.0), ("kernel_len", 61.0),
+        ("lr0", True), ("l2_conv", "0.1"), ("class_weights", 2.0),
     ])
     def test_bad_config_value_is_usage_error(self, pipeline, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
@@ -396,6 +432,25 @@ class TestTrainEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "1/256" in err[0]
 
+    @pytest.mark.parametrize("key, value", [
+        ("pool", 2.0), ("kernel_len", 61.0), ("input_len", 100.0), ("seed", 0.5),
+        ("seed", -1), ("frontend_trainable", "no"), ("dropout", "0.5"), ("frontend", 3),
+    ])
+    def test_checkpoint_config_of_wrong_type_is_data_error(self, pipeline, tmp_path, capsys,
+                                                           key, value):
+        ckpt = tmp_path / "m.ckpt"
+        save(build(NetworkConfig(frontend="tconv_lp", input_len=100)), str(ckpt))
+        rewrite_config(ckpt, **{key: value})
+        for argv in (["analyze", "--ckpt", str(ckpt), "--out", str(tmp_path / "an")],
+                     ["eval", "--ckpt", str(ckpt),
+                      "--cycles", str(pipeline / "store" / "cycles.bin"),
+                      "--folds", str(pipeline / "folds" / "folds.csv"),
+                      "--fold", "0", "--out", str(tmp_path / "ev")]):
+            capsys.readouterr()
+            assert main(argv) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("data error:") and key in err[0]
+
 
 class TestReport:
     def test_reference_rows_reproduced(self, tmp_path):
@@ -417,6 +472,27 @@ class TestReport:
         for name, row in REFERENCE_ROWS.items():
             got = summary[name]["crossfold"]["macc"]["mean"]
             assert abs(got - row["crossfold_macc"][0]) <= 0.01
+
+    @pytest.mark.parametrize("header, row", [
+        (["config", "fold", "sensitivity_pct", "specificity_pct"], ["a", "0", "50", "50"]),
+        (EVAL_HEADER, ["a", "0", "1", "1", "1", "1", "", "50.0", "50.0"]),
+        (EVAL_HEADER, ["a", "x", "1", "1", "1", "1", "50.0", "50.0", "50.0"]),
+        (EVAL_HEADER, ["a", "0.5", "1", "1", "1", "1", "50.0", "50.0", "50.0"]),
+        (EVAL_HEADER, ["a", "0", "1", "1", "1", "1", "50.0", "inf", "50.0"]),
+        (EVAL_HEADER, ["a", "0", "1", "1", "1", "1", "50.0", "nan", "50.0"]),
+        (EVAL_HEADER, ["a", "0", "1"]),
+        (["fold", "config", "sensitivity_pct", "specificity_pct", "macc_pct"], ["0"]),
+    ])
+    def test_malformed_eval_csv_is_data_error(self, tmp_path, capsys, header, row):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        with open(runs / "eval.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([header, row])
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_empty_runs_dir_is_data_error(self, tmp_path):
         (tmp_path / "runs").mkdir()

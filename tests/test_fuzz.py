@@ -1,12 +1,15 @@
-"""Seeded mutation fuzzing of the two binary formats the CLI reads: WAV
-recordings, through `ingest`, and checkpoints, through `analyze --ckpt`.
+"""Seeded mutation fuzzing of the files the CLI reads: WAV recordings,
+through `ingest`; checkpoints, through `analyze --ckpt`; eval CSVs, through
+`report`; filter JSON, through `response`.
 
-The mutants are truncations, single-byte replacements and length fields
-set to their extremes, drawn from a fixed random.Random seed. Every mutant
-must end in exit 0 or exit 3 without raising, and an exit 3 prints exactly
-one stderr line, starting with "data error:".
+The mutants are truncations, single-byte replacements, length fields set
+to their extremes and checkpoint config values swapped for values of other
+types, drawn from a fixed random.Random seed. Every mutant must end in
+exit 0 or exit 3 without raising, and an exit 3 prints exactly one stderr
+line, starting with "data error:".
 """
 
+import json
 import random
 import struct
 
@@ -99,4 +102,52 @@ def test_mutated_checkpoint_is_analyzed_or_data_error(tmp_path, capsys):
     mutants += [set_field(blob, at, fmt, 256 ** struct.calcsize(fmt) - 1) for at, fmt in fields]
     bad = run_mutants(mutants, ckpt.write_bytes,
                       ["analyze", "--ckpt", str(ckpt), "--out", str(tmp_path / "an")], capsys)
+    assert bad == []
+
+
+def test_checkpoint_config_type_swaps_are_analyzed_or_data_error(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save(build(NetworkConfig(frontend="tconv_lp", input_len=100, seed=2)), str(ckpt))
+    blob = ckpt.read_bytes()
+    at = len(CKPT_MAGIC) + 4
+    (cfg_len,) = struct.unpack_from("<Q", blob, at)
+    cfg = json.loads(blob[at + 8:at + 8 + cfg_len])
+
+    def with_config(changed: dict) -> bytes:
+        text = json.dumps(changed).encode()
+        return blob[:at] + struct.pack("<Q", len(text)) + text + blob[at + 8 + cfg_len:]
+
+    swaps = (2.0, 0.5, -1, 0, "x", True, None, [1], {})
+    mutants = [(f"{key} = {value!r}", with_config({**cfg, key: value}))
+               for key in sorted(cfg) for value in swaps if value != cfg[key]]
+    bad = run_mutants(mutants, ckpt.write_bytes,
+                      ["analyze", "--ckpt", str(ckpt), "--out", str(tmp_path / "an")], capsys)
+    assert bad == []
+
+
+def test_mutated_eval_csv_is_reported_or_data_error(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    target = runs / "eval.csv"
+    blob = (b"config,fold,tp,tn,fp,fn,sensitivity_pct,specificity_pct,macc_pct\r\n"
+            b"lp-tconv-fir,0,7,9,2,1,87.5,81.818181818181813,84.659090909090907\r\n")
+    rng = random.Random(20261020)
+    mutants = [(f"cut at {c}", blob[:c]) for c in sorted(rng.sample(range(len(blob)), 30))]
+    mutants += [replace_byte(blob, rng, 0, len(blob)) for _ in range(80)]
+    bad = run_mutants(mutants, target.write_bytes,
+                      ["report", "--runs", str(runs), "--out", str(tmp_path / "rep")], capsys)
+    assert bad == []
+
+
+def test_mutated_filter_json_is_read_or_data_error(tmp_path, capsys):
+    assert main(["design", "--lo", "45", "--hi", "80", "--order", "20",
+                 "--out", str(tmp_path / "d")]) == 0
+    blob = (tmp_path / "d" / "filter.json").read_bytes()
+    target = tmp_path / "filter.json"
+    rng = random.Random(20261021)
+    mutants = [(f"cut at {c}", blob[:c]) for c in sorted(rng.sample(range(len(blob)), 30))]
+    mutants += [replace_byte(blob, rng, 0, len(blob)) for _ in range(80)]
+    bad = run_mutants(mutants, target.write_bytes,
+                      ["response", "--filter", str(target), "--points", "64",
+                       "--out", str(tmp_path / "r")], capsys)
     assert bad == []
