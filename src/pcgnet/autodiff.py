@@ -12,6 +12,13 @@ y[n] = sum_i k[i] * x[n + (K-1)/2 - i], so the kernel vector read left to
 right is exactly the tap vector b_0..b_N of the causal FIR filter that
 this layer realizes with a (K-1)/2 sample delay. causal_conv1d removes
 that delay and returns the causal filter output itself.
+
+Kernels of FFT_KERNEL_MIN taps or more use one FFT size forward and
+backward, nfft = next_pow2(L + K - 1): the unpadded signal's spectrum
+times the kernel's is the full linear convolution, read from sample
+start = K - 1 - p (p the "same" padding). Backward transforms the output
+gradient once, placed at `start`, and correlates it with the signal (the
+kernel gradient) and with the kernel (the input gradient).
 """
 
 from __future__ import annotations
@@ -321,22 +328,20 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
         raise ValueError("same padding requires an odd kernel length")
     ng, co = groups, gco // groups
     p = (k - 1) // 2 if padding == "same" else 0
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
-    lp = xp.shape[-1]
-
-    ln = lp - k + 1
+    ln = length + 2 * p - k + 1
     use_fft = k >= FFT_KERNEL_MIN
     if use_fft:
-        nfft = next_pow2(lp + k)
-        xhat = np.fft.rfft(xp, nfft).reshape(b, ng, ci, -1)
+        # output n is sample start + n of the full linear convolution
+        nfft, start = next_pow2(length + k - 1), k - 1 - p
+        xhat = np.fft.rfft(x.data, nfft).reshape(b, ng, ci, -1)
         khat = np.fft.rfft(kernel.data, nfft).reshape(ng, co, ci, -1)
         full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xhat, khat), nfft)
-        out = np.ascontiguousarray(full[..., k - 1:lp]).reshape(b, gco, ln)
-        cols = kf = None
+        out = np.ascontiguousarray(full[..., start:start + ln]).reshape(b, gco, ln)
     else:
         # cols[b, g, c*k + j, n] = xp[b, g*ci + c, n + j]; the flipped kernel
         # times these windows is the convolution, already in [B, G*Co, Ln]
-        nfft = xhat = khat = None
+        xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
+        lp = xp.shape[-1]
         win = sliding_window_view(xp, ln, axis=2)  # [B, G*Ci, k, Ln]
         cols = np.ascontiguousarray(win).reshape(b, ng, ci * k, ln)
         kf = kernel.data[:, :, ::-1].reshape(ng, co, ci * k)
@@ -344,24 +349,23 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
 
     def back(g):
         g = np.ascontiguousarray(g).reshape(b, ng, co, ln)
+        if use_fft:
+            # g placed at `start` in a zeroed frame: no product wraps around
+            gfull = np.zeros((b, ng, co, nfft))
+            gfull[..., start:start + ln] = g
+            ghat = np.fft.rfft(gfull)
         if kernel.requires_grad:
             if use_fft:
-                ghat = np.fft.rfft(g, nfft)
-                corr = np.einsum("bgof,bgcf->gocf", np.conj(ghat), xhat)
-                dkf = np.fft.irfft(corr, nfft)[..., :k].reshape(gco, ci, k)
+                dk = np.fft.irfft(np.einsum("bgof,bgcf->gocf", ghat, np.conj(xhat)), nfft)
+                dk = dk[..., :k]
             else:
-                dkf = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-                dkf = dkf.reshape(gco, ci, k)
-            kernel.accumulate_owned(np.ascontiguousarray(dkf[:, :, ::-1]))
+                dk = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+                dk = dk.reshape(ng, co, ci, k)[..., ::-1]
+            kernel.accumulate_owned(np.ascontiguousarray(dk).reshape(gco, ci, k))
         if x.requires_grad:
             if use_fft:
-                gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
-                nfft2 = next_pow2(gp.shape[-1] + k)
-                gph = np.fft.rfft(gp, nfft2)
-                kh2 = khat if nfft2 == nfft else \
-                    np.fft.rfft(kernel.data, nfft2).reshape(ng, co, ci, -1)
-                corr = np.einsum("bgof,gocf->bgcf", gph, np.conj(kh2))
-                dxp = np.fft.irfft(corr, nfft2)[..., :lp].reshape(b, gci, lp)
+                dx = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat, np.conj(khat)), nfft)
+                dx = dx[..., :length]
             elif ci <= co:
                 # gradient of each window row c*k + j, scattered back to xp
                 # samples n + j: k shifted adds of [B, G, Ci, Ln]
@@ -369,7 +373,7 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
                 dxp = np.zeros((b, ng, ci, lp))
                 for j in range(k):
                     dxp[..., j:j + ln] += dcols[:, :, :, j]
-                dxp = dxp.reshape(b, gci, lp)
+                dx = dxp[..., p:p + length]
             else:
                 # fewer output channels: gather windows of the zero-padded
                 # gradient instead (Co*k rows, not Ci*k) and apply the
@@ -378,8 +382,8 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
                 colsg = np.ascontiguousarray(sliding_window_view(gp, lp, axis=3))
                 kk = kernel.data.reshape(ng, co, ci, k).transpose(0, 2, 1, 3)
                 dxp = np.matmul(kk.reshape(ng, ci, co * k), colsg.reshape(b, ng, co * k, lp))
-                dxp = dxp.reshape(b, gci, lp)
-            x.accumulate_owned(np.ascontiguousarray(dxp[:, :, p:p + length]))
+                dx = dxp[..., p:p + length]
+            x.accumulate_owned(np.ascontiguousarray(dx).reshape(b, gci, length))
 
     return _node(out, (x, kernel), back, f"conv1d_{padding}")
 
@@ -477,7 +481,7 @@ class BatchNormState:
 
 
 def _bn_coefficients(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                     train: bool, eps: float, momentum: float, bias: Tensor | None):
+                     train: bool, bias: Tensor | None):
     """Validate a batch-norm call on x [B, C, L] and return (mu, ivar, a,
     shift): the layer is x * a + shift per channel, with a = gamma * ivar
     and shift = beta - a * mu. Train mode takes the batch statistics and
@@ -496,14 +500,14 @@ def _bn_coefficients(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormSta
         xc = x.data - mu[None, :, None]
         var = np.einsum("bcl,bcl->c", xc, xc) / (b * length)
         del xc  # freed before the caller allocates its output
-        state.mean *= momentum
-        state.mean += (1.0 - momentum) * (mu if bias is None else mu + bias.data)
-        state.var *= momentum
-        state.var += (1.0 - momentum) * var
+        state.mean *= BN_MOMENTUM
+        state.mean += (1.0 - BN_MOMENTUM) * (mu if bias is None else mu + bias.data)
+        state.var *= BN_MOMENTUM
+        state.var += (1.0 - BN_MOMENTUM) * var
     else:
         mu = state.mean.copy() if bias is None else state.mean - bias.data
         var = state.var
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
     a_ch = gamma.data * ivar
     return mu, ivar, a_ch, beta.data - a_ch * mu
 
@@ -539,8 +543,7 @@ def _bn_backward(g, x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
 
 
 def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                train: bool, eps: float = BN_EPS, momentum: float = BN_MOMENTUM,
-                bias: Tensor | None = None) -> Tensor:
+                train: bool, bias: Tensor | None = None) -> Tensor:
     """Per-channel normalization over batch and length of [B, C, L].
 
     Train mode normalizes with (biased) batch statistics and updates the
@@ -551,8 +554,7 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     mode ignores it (it gets no gradient) except that the running mean
     tracks mean(x + bias); infer mode moves it into the shift.
     """
-    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, eps,
-                                             momentum, bias)
+    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, bias)
     # two passes: out = x * (gamma*ivar) + (beta - gamma*ivar*mu)
     out = x.data * a_ch[None, :, None]
     out += shift[None, :, None]
@@ -656,8 +658,7 @@ def _pool_scatter(g: np.ndarray, gate: np.ndarray, winner, pool: int,
 
 def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                          train: bool, rate: float, rng: np.random.Generator | None,
-                         pool: int, bias: Tensor | None = None, eps: float = BN_EPS,
-                         momentum: float = BN_MOMENTUM) -> Tensor:
+                         pool: int, bias: Tensor | None = None) -> Tensor:
     """batchnorm1d -> relu -> dropout -> maxpool1d on [B, C, L] as one node.
 
     Train mode: y = x*a + shift with batch statistics (the running
@@ -681,8 +682,7 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
     shape = x.data.shape
     if len(shape) == 3 and shape[2] < pool:
         raise ValueError(f"signal of length {shape[2]} shorter than pool {pool}")
-    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, eps,
-                                             momentum, bias)
+    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, bias)
     drop = train and rate != 0.0
     if train:
         y = x.data * a_ch[None, :, None]

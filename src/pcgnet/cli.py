@@ -176,8 +176,11 @@ def cmd_folds(args, argv) -> int:
     pinned = None
     inputs = [Path(args.cycles)]
     if args.pin_fold0:
-        pinned = [line.strip() for line in Path(args.pin_fold0).read_text().splitlines()
-                  if line.strip()]
+        try:
+            text = Path(args.pin_fold0).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise DataError(f"cannot read {args.pin_fold0}: {e}") from None
+        pinned = [line.strip() for line in text.splitlines() if line.strip()]
         inputs.append(Path(args.pin_fold0))
     assignment = dat.make_folds(metas, args.seed, pinned_fold0=pinned)
     path = out / "folds.csv"
@@ -339,8 +342,13 @@ def cmd_report(args, argv) -> int:
     if not eval_files:
         raise DataError(f"no eval CSV files under {runs}")
     by_config: dict[str, list[dict]] = {}
+    source: dict[tuple[str, int], Path] = {}
     for path in eval_files:
         for row in _read_eval_rows(path):
+            key = (row["config"], row["fold"])
+            if key in source:
+                raise DataError(f"{key[0]} fold {key[1]} is in both {source[key]} and {path}")
+            source[key] = path
             by_config.setdefault(row["config"], []).append(row)
     summary = {}
     report_path = out / "report.csv"

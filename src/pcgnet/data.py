@@ -121,21 +121,25 @@ def write_wav(path: str, x: Waveform) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def _manifest_rows(path: str, column: str) -> list[tuple[str, str]]:
-    """(id, value) pairs of a two-column CSV manifest; blank rows and an
-    `id,...` header are skipped. Any unreadable or short row is a DataError."""
+def _manifest_rows(path: str, column: str) -> dict[str, str]:
+    """id -> value of a two-column CSV manifest; blank rows and an
+    `id,...` header are skipped. Any unreadable or short row, or an id
+    listed twice, is a DataError."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise DataError(f"cannot read {path}: {e}") from None
-    out = []
+    out: dict[str, str] = {}
     for row in rows:
         if not row or row[0].strip().lower() == "id":
             continue
         if len(row) < 2:
             raise DataError(f"{path}: row {row!r} has no {column} column")
-        out.append((row[0].strip(), row[1].strip()))
+        rid = row[0].strip()
+        if rid in out:
+            raise DataError(f"{path}: id {rid!r} is listed twice")
+        out[rid] = row[1].strip()
     if not out:
         raise DataError(f"no {column}s found in {path}")
     return out
@@ -144,7 +148,7 @@ def _manifest_rows(path: str, column: str) -> list[tuple[str, str]]:
 def read_label_manifest(path: str) -> dict[str, int]:
     """CSV `id,label` with label -1 (normal) / 1 (abnormal)."""
     out: dict[str, int] = {}
-    for rid, lab in _manifest_rows(path, "label"):
+    for rid, lab in _manifest_rows(path, "label").items():
         if lab not in ("-1", "1"):
             raise DataError(f"label for {rid} must be -1 or 1, got {lab!r}")
         out[rid] = 1 if lab == "1" else 0
@@ -295,7 +299,7 @@ def write_fold_manifest(path: str, assignment: dict[str, int]) -> None:
 def read_fold_manifest(path: str) -> dict[str, int]:
     """CSV `id,fold` with fold 0..3 or TRAIN_ONLY_FOLD."""
     out: dict[str, int] = {}
-    for rid, text in _manifest_rows(path, "fold"):
+    for rid, text in _manifest_rows(path, "fold").items():
         try:
             fold = int(text)
         except ValueError:

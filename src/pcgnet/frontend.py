@@ -10,6 +10,7 @@ so each band is literally an FIR filter applied to the raw waveform:
   zero_phase   - the free kernel applied forward and reversed, squaring
                  the magnitude response and cancelling the phase
 
+Each layer stores one array, named and shaped by `param_spec`.
 `init_kernel` fills a kernel from a designed filter bank; the model's
 `build` makes the zeros and He-normal kernels.
 """
@@ -22,6 +23,14 @@ from . import autodiff as ad
 from .fir import FilterBank
 
 VARIANTS = ("free", "linear_phase", "zero_phase")
+
+
+def param_spec(variant: str, bands: int, k_len: int) -> tuple[str, tuple[int, int, int]]:
+    """Checkpoint name and shape of the one array a front-end stores: the
+    leading taps through the center for linear phase, else the kernel."""
+    if variant == "linear_phase":
+        return "frontend.half", (bands, 1, (k_len + 1) // 2)
+    return "frontend.kernel", (bands, 1, k_len)
 
 
 def init_kernel(bank: FilterBank, shape: tuple[int, int, int]) -> np.ndarray:
@@ -58,56 +67,35 @@ class TConvLayer:
         self.variant = variant
         self.trainable = bool(trainable)
         self.bands = bands
-        self.k_len = k_len
-        if variant == "linear_phase":
-            half = (k_len + 1) // 2
-            # store the leading taps through the center; the trailing half
-            # is their mirror image, materialized on demand
-            self.half = ad.Tensor(kernel[:, :, :half].copy(), requires_grad=self.trainable)
-        else:
-            self.kernel_param = ad.Tensor(kernel.copy(), requires_grad=self.trainable)
+        self.name, shape = param_spec(variant, bands, k_len)
+        self.param = ad.Tensor(kernel[:, :, :shape[2]].copy(), requires_grad=self.trainable)
 
     def materialized_kernel(self) -> ad.Tensor:
         """Full kernel as a graph node (mirroring the LP half if needed)."""
-        if self.variant == "linear_phase":
-            half = (self.k_len + 1) // 2
-            mirror = ad.flip_time(ad.slice_time(self.half, 0, half - 1))
-            return ad.concat([self.half, mirror], axis=2)
-        return self.kernel_param
+        if self.variant != "linear_phase":
+            return self.param
+        n = self.param.data.shape[2]
+        mirror = ad.flip_time(ad.slice_time(self.param, 0, n - 1))
+        return ad.concat([self.param, mirror], axis=2)
 
     def parameters(self) -> list[tuple[str, ad.Tensor]]:
-        if not self.trainable:
-            return []
-        if self.variant == "linear_phase":
-            return [("frontend.half", self.half)]
-        return [("frontend.kernel", self.kernel_param)]
+        return [(self.name, self.param)] if self.trainable else []
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """All stored arrays, trainable or not (for checkpointing)."""
-        if self.variant == "linear_phase":
-            return [("frontend.half", self.half.data)]
-        return [("frontend.kernel", self.kernel_param.data)]
+        return [(self.name, self.param.data)]
 
     def free_param_count(self) -> int:
-        if self.variant == "linear_phase":
-            return self.bands * ((self.k_len + 1) // 2)
-        return self.bands * self.k_len
+        return self.param.data.size
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        """[batch, 1, L] -> [batch, bands, L], one filtered copy per band."""
+        """[batch, 1, L] -> [batch, bands, L], one filtered copy per band.
+        Zero phase filters each band again with its time-reversed kernel,
+        which is the reverse pass flip(conv(flip(z), k)), boundaries included."""
         if x.data.ndim != 3 or x.data.shape[1] != 1:
             raise ValueError(f"front-end expects [batch, 1, length], got {x.data.shape}")
         kern = self.materialized_kernel()
-        if self.variant == "zero_phase":
-            return self._zero_phase_forward(x, kern)
-        return ad.conv1d(x, kern, padding="same")
-
-    def _zero_phase_forward(self, x: ad.Tensor, kern: ad.Tensor) -> ad.Tensor:
-        """Filter, reverse, filter again, reverse back: per band, the
-        composite transfer is the squared magnitude of the kernel with no
-        phase. The reverse pass filters each band with its own kernel as
-        one grouped convolution. The kernel tensor is used by both passes,
-        so its gradient is the sum over both uses."""
-        z = ad.conv1d(x, kern, padding="same")  # [B, bands, L]
-        back_pass = ad.conv1d(ad.flip_time(z), kern, padding="same", groups=self.bands)
-        return ad.flip_time(back_pass)
+        z = ad.conv1d(x, kern, padding="same")
+        if self.variant != "zero_phase":
+            return z
+        return ad.conv1d(z, ad.flip_time(kern), padding="same", groups=self.bands)

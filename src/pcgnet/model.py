@@ -43,7 +43,7 @@ from .data import CYCLE_LEN, PIPELINE_RATE_HZ
 from .dsp import next_pow2
 from .errors import CheckpointError, check_field_types
 from .fir import FilterBank, default_bank
-from .frontend import TConvLayer, init_kernel
+from .frontend import TConvLayer, init_kernel, param_spec
 
 FRONTENDS = ("external_fir", "tconv_free", "tconv_lp", "tconv_zp")
 INITS = ("fir_bank", "random", "zeros")
@@ -444,10 +444,8 @@ def _config_sized_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]
     """Stored arrays whose shapes follow from config values (input_len,
     pool, kernel_len); every other shape is fixed by the branch topology."""
     out = [("head.w1", (flatten_width(cfg), cfg.hidden))]
-    if cfg.frontend == "tconv_lp":
-        out.append(("frontend.half", (cfg.bands, 1, (cfg.kernel_len + 1) // 2)))
-    elif cfg.frontend != "external_fir":
-        out.append(("frontend.kernel", (cfg.bands, 1, cfg.kernel_len)))
+    if cfg.frontend != "external_fir":
+        out.append(param_spec(_VARIANT_OF[cfg.frontend], cfg.bands, cfg.kernel_len))
     return out
 
 

@@ -233,11 +233,6 @@ def evaluate(net: Network, store: CycleStore, cycle_idx: np.ndarray,
     return _confusion(_predict_recordings(net, store, cycle_idx), fold)
 
 
-def cycle_accuracy(net: Network, store: CycleStore, cycle_idx: np.ndarray) -> float:
-    """Auxiliary per-cycle accuracy (not the headline metric)."""
-    return _cycle_acc(_predict_recordings(net, store, cycle_idx))
-
-
 # ---------------------------------------------------------------------------
 # training loop
 

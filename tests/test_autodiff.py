@@ -43,11 +43,13 @@ class TestConv1d:
         k = ad.tensor(np.array([[[0.0, 1.0, 0.0]]]))
         assert np.abs(ad.conv1d(x, k, "same").data - x.data).max() < 1e-15
 
-    @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("b,ci,co,length,k", [
-        (1, 1, 1, 12, 3), (2, 3, 4, 20, 5), (3, 2, 2, 40, 7),
-        (1, 1, 2, 80, 21),   # FFT path
-        (2, 2, 3, 64, 17),   # FFT path, multichannel
+    @pytest.mark.parametrize("b,ci,co,length,k,padding", [
+        *((*shape, padding) for shape in [
+            (1, 1, 1, 12, 3), (2, 3, 4, 20, 5), (3, 2, 2, 40, 7),
+            (1, 1, 2, 80, 21),   # FFT path
+            (2, 2, 3, 64, 17),   # FFT path, multichannel
+        ] for padding in ("same", "valid")),
+        (2, 1, 2, 10, 21, "same"),   # FFT path, kernel longer than the signal
     ])
     def test_matches_triple_loop(self, padding, b, ci, co, length, k):
         rng = np.random.default_rng(b * 100 + k)
@@ -70,14 +72,18 @@ class TestConv1d:
             (ana,) = analytic_gradient(f, [p])
             assert relative_error(ana, num) < 1e-6
 
-    def test_same_padding_gradients(self):
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("k", [5, 21])   # direct and FFT path
+    def test_same_padding_gradients(self, k, padding):
         rng = np.random.default_rng(8)
-        x = ad.Tensor(rng.normal(size=(2, 1, 15)), requires_grad=True)
-        kern = ad.Tensor(rng.normal(size=(2, 1, 5)), requires_grad=True)
-        weights = rng.normal(size=(2, 2, 15))
+        length = k + 10
+        x = ad.Tensor(rng.normal(size=(2, 1, length)), requires_grad=True)
+        kern = ad.Tensor(rng.normal(size=(2, 1, k)), requires_grad=True)
+        out_len = length if padding == "same" else length - k + 1
+        weights = rng.normal(size=(2, 2, out_len))
 
         def f():
-            y = ad.conv1d(x, kern, "same")
+            y = ad.conv1d(x, kern, padding)
             return ad.tsum(ad.mul(y, ad.tensor(weights)))
 
         for p in (x, kern):

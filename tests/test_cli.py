@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pcgnet
 from pcgnet.cli import main
 from pcgnet.data import (MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest,
                          write_wav)
@@ -164,7 +163,8 @@ class TestSynthIngestFolds:
         assert "r0: too short" in err[0] and "r1: too short" in err[0]
         assert not (tmp_path / "o" / "cycles.bin").exists()
 
-    @pytest.mark.parametrize("text", [None, "id,label\nrec1\n"])
+    @pytest.mark.parametrize("text", [None, "id,label\nrec1\n",
+                                      "id,label\nrec0000,1\nrec0000,-1\n"])
     def test_bad_label_manifest_is_data_error(self, pipeline, tmp_path, capsys, text):
         labels = tmp_path / "labels.csv"
         if text is not None:
@@ -175,13 +175,13 @@ class TestSynthIngestFolds:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
 
-    @pytest.mark.parametrize("row", [None, "{rid}", "{rid},x", "{rid},9"])
+    @pytest.mark.parametrize("row", [None, "{rid}", "{rid},x", "{rid},9", "{line}\n{line}"])
     def test_bad_fold_manifest_is_data_error(self, pipeline, tmp_path, capsys, row):
         folds = tmp_path / "folds.csv"
         if row is not None:
             # the pipeline's manifest with its first assignment broken
             lines = (pipeline / "folds" / "folds.csv").read_text().splitlines()
-            lines[1] = row.format(rid=lines[1].split(",")[0])
+            lines[1] = row.format(rid=lines[1].split(",")[0], line=lines[1])
             folds.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
@@ -190,6 +190,19 @@ class TestSynthIngestFolds:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
 
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+    def test_unreadable_pin_file_is_data_error(self, pipeline, tmp_path, capsys, case):
+        pin = tmp_path / "pin.txt"
+        if case == "directory":
+            pin.mkdir()
+        elif case == "not_utf8":
+            pin.write_bytes(b"rec0000\n\xff\xfe\n")
+        capsys.readouterr()
+        assert main(["folds", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--pin-fold0", str(pin), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "pin.txt" in err[0]
 
     @pytest.mark.parametrize("case", ["cut_inside_frame", "cut_before_first_frame",
                                       "rate_0", "rate_2^31", "rate_2^32-1"])
@@ -281,12 +294,9 @@ class TestTrainEval:
     def test_artifacts_equal_across_blas_thread_counts(self, pipeline, tmp_path):
         # train and eval in fresh processes, so the thread count is set
         # before numpy loads its BLAS
-        src = str(Path(pcgnet.__file__).resolve().parent.parent)
         digests = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             run = tmp_path / f"t{threads}"
             common = ["--cycles", str(pipeline / "store" / "cycles.bin"),
                       "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0"]
@@ -494,6 +504,22 @@ class TestReport:
         assert len(err) == 1 and err[0].startswith("data error:")
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    def test_repeated_config_fold_is_data_error(self, tmp_path, capsys):
+        # a rerun left in a second directory is not a second fold
+        runs = tmp_path / "runs"
+        for name, macc in (("first", 50.0), ("rerun", 90.0)):
+            (runs / name).mkdir(parents=True)
+            with open(runs / name / "eval.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([EVAL_HEADER,
+                                          ["lp", 0, 1, 1, 1, 1, macc, macc, macc]])
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: lp fold 0")
+        assert str(runs / "first" / "eval.csv") in err[0]
+        assert str(runs / "rerun" / "eval.csv") in err[0]
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_empty_runs_dir_is_data_error(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["report", "--runs", str(tmp_path / "runs"),
@@ -571,7 +597,7 @@ class TestAnalyze:
             self, tmp_path, capsys, frontend, changes):
         net = build(NetworkConfig(frontend=frontend, input_len=100, seed=0))
         if "tap" in changes:
-            net.frontend.half.data[2, 0, 5] = changes.pop("tap")
+            net.frontend.param.data[2, 0, 5] = changes.pop("tap")
         ckpt = tmp_path / "m.ckpt"
         save(net, str(ckpt))
         if changes:

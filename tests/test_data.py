@@ -72,6 +72,16 @@ class TestWavIo:
         labels = read_label_manifest(path)
         assert labels == {"a": 0, "b": 1}
 
+    @pytest.mark.parametrize("read, text", [
+        (read_label_manifest, "id,label\nrec0000,1\nrec0001,1\nrec0000,-1\n"),
+        (read_fold_manifest, "id,fold\nrec0000,0\nrec0001,1\nrec0000,2\n"),
+    ])
+    def test_repeated_id_rejected(self, tmp_path, read, text):
+        path = tmp_path / "manifest.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="rec0000.*twice"):
+            read(path)
+
 
 class TestSegmentation:
     def test_sixty_bpm_cycle_count_and_length(self):

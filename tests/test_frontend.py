@@ -26,7 +26,7 @@ class TestInitKernel:
 
     def test_zeros(self):
         net = build(NetworkConfig(frontend="tconv_free", init="zeros", input_len=100))
-        assert not net.frontend.kernel_param.data.any()
+        assert not net.frontend.param.data.any()
 
     def test_he_std(self):
         # build's random init: He-normal, std sqrt(2 / kernel_len)
@@ -36,7 +36,7 @@ class TestInitKernel:
         assert abs(flat.std() - want) / want < 0.02
         net = build(NetworkConfig(frontend="tconv_free", init="random", input_len=100, seed=7))
         stream = np.random.SeedSequence(7).spawn(6)[0]
-        assert np.array_equal(net.frontend.kernel_param.data,
+        assert np.array_equal(net.frontend.param.data,
                               _he_normal(np.random.default_rng(stream), (4, 1, 61), 61))
 
     def test_fir_bank_length_mismatch_rejected(self):
@@ -93,9 +93,9 @@ class TestLinearPhaseVariant:
         for _ in range(5):
             out = layer.forward(ad.tensor(x))
             loss = ad.sum_of_squares(out)
-            layer.half.zero_grad()
+            layer.param.zero_grad()
             ad.backward(loss)
-            layer.half.data -= 1e-3 * layer.half.grad
+            layer.param.data -= 1e-3 * layer.param.grad
         kern = layer.materialized_kernel().data
         for b in range(4):
             assert np.array_equal(kern[b, 0], kern[b, 0][::-1])
@@ -113,8 +113,8 @@ class TestLinearPhaseVariant:
         def f_lp():
             return ad.tsum(ad.mul(lp.forward(ad.tensor(x)), ad.tensor(coef)))
 
-        (g_half,) = analytic_gradient(f_lp, [lp.half])
-        num = numeric_gradient(f_lp, lp.half)
+        (g_half,) = analytic_gradient(f_lp, [lp.param])
+        num = numeric_gradient(f_lp, lp.param)
         assert relative_error(g_half, num) < 1e-6
 
         free = TConvLayer("free", lp.materialized_kernel().data.copy())
@@ -122,7 +122,7 @@ class TestLinearPhaseVariant:
         def f_free():
             return ad.tsum(ad.mul(free.forward(ad.tensor(x)), ad.tensor(coef)))
 
-        (g_free,) = analytic_gradient(f_free, [free.kernel_param])
+        (g_free,) = analytic_gradient(f_free, [free.param])
         mirrored = g_free[:, :, :31].copy()
         mirrored[:, :, :30] += g_free[:, :, 31:][:, :, ::-1]
         assert relative_error(g_half, mirrored) < 1e-10
@@ -175,6 +175,34 @@ class TestZeroPhaseVariant:
             assert resp.real.min() > -1e-9
             assert np.abs(resp.real - target).max() < 1e-9
 
+    def test_reverse_pass_equals_flip_conv_flip(self):
+        # the reverse pass runs on the time-reversed kernel, not on
+        # time-reversed bands: same output and gradients as the composed
+        # flip_time -> conv1d -> flip_time, and no flip of a band tensor
+        rng = np.random.default_rng(10)
+        layer = TConvLayer("zero_phase", rng.normal(size=(4, 1, 61)))
+        x = rng.normal(size=(3, 1, 200))
+        coef = ad.tensor(rng.normal(size=(3, 4, 200)))
+        kern = layer.param
+        out = layer.forward(ad.tensor(x))
+        z = ad.conv1d(ad.tensor(x), kern, padding="same")
+        want = ad.flip_time(ad.conv1d(ad.flip_time(z), kern, padding="same", groups=4))
+        assert np.abs(out.data - want.data).max() < 1e-12 * np.abs(want.data).max()
+        (g_out,) = analytic_gradient(lambda: ad.tsum(ad.mul(out, coef)), [kern])
+        (g_want,) = analytic_gradient(lambda: ad.tsum(ad.mul(want, coef)), [kern])
+        assert np.abs(g_out - g_want).max() < 1e-12 * np.abs(g_want).max()
+
+        flips, todo, seen = [], [out], set()
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.op == "flip_time":
+                flips.append(node.shape)
+            todo.extend(node._parents)
+        assert flips == [(4, 1, 61)]
+
     def test_gradient_flows_through_both_uses(self):
         rng = np.random.default_rng(9)
         layer = TConvLayer("zero_phase", rng.normal(size=(2, 1, 5)))
@@ -184,8 +212,8 @@ class TestZeroPhaseVariant:
         def f():
             return ad.tsum(ad.mul(layer.forward(ad.tensor(x)), ad.tensor(coef)))
 
-        (ana,) = analytic_gradient(f, [layer.kernel_param])
-        num = numeric_gradient(f, layer.kernel_param)
+        (ana,) = analytic_gradient(f, [layer.param])
+        num = numeric_gradient(f, layer.param)
         assert relative_error(ana, num) < 1e-6
 
 

@@ -76,8 +76,8 @@ class TestBuild:
     def test_different_seed_differs(self):
         a = build(NetworkConfig(frontend="tconv_free", init="random", seed=1))
         b = build(NetworkConfig(frontend="tconv_free", init="random", seed=2))
-        assert not np.array_equal(a.frontend.kernel_param.data,
-                                  b.frontend.kernel_param.data)
+        assert not np.array_equal(a.frontend.param.data,
+                                  b.frontend.param.data)
 
     def test_branch_params_independent_of_frontend_choice(self):
         # shared seed must give identical branches/head across front-ends,
@@ -375,8 +375,8 @@ class TestCheckpoint:
         again = load(str(path))
         assert again.config.frontend_trainable is False
         assert again.frontend.parameters() == []
-        assert np.array_equal(again.frontend.kernel_param.data,
-                              net.frontend.kernel_param.data)
+        assert np.array_equal(again.frontend.param.data,
+                              net.frontend.param.data)
 
 
 class TestL2Penalty:

@@ -7,7 +7,7 @@ from pcgnet.errors import DataError, NumericalAbort
 from pcgnet.model import NetworkConfig, build
 from pcgnet.training import (AdamState, FoldReport, TrainConfig, adam_step,
                              class_weights_from, cross_fold_summary,
-                             cycle_accuracy, effective_lr, evaluate, macc_pct,
+                             effective_lr, evaluate, macc_pct,
                              round2, split_fold, train_fold)
 
 from _reference import REFERENCE_ROWS, std_tolerance
@@ -214,16 +214,21 @@ class TestTrainFold:
 
     def test_overfits_small_set(self):
         # 12 recordings x 6 cycles, separable: the model must reach high
-        # train-cycle accuracy, demonstrating end-to-end learning capacity
+        # cycle accuracy, demonstrating end-to-end learning capacity
         store = toy_store()
         folds = toy_folds(store)
         net = toy_net(seed=1)
         cfg = fast_cfg(epochs=25, batch_size=18, seed=1)
         net, history = train_fold(net, store, folds, 0, cfg)
-        train_idx, _ = split_fold(store, folds, 0)
-        acc = cycle_accuracy(net, store, train_idx)
-        assert acc >= 0.95
         assert len(history) == 25
+        assert history[-1].val_cycle_acc >= 0.95
+        # the returned net is that of the first best-Macc epoch, and that
+        # epoch's val_cycle_acc is the share of validation cycles it gets right
+        best = max(history, key=lambda h: h.val_macc_pct)
+        _, val_idx = split_fold(store, folds, 0)
+        with ad.no_grad():
+            probs = net.forward(store.samples[val_idx]).data
+        assert best.val_cycle_acc == np.mean((probs >= 0.5) == store.labels[val_idx])
 
     def test_deterministic(self):
         store = toy_store()
