@@ -566,7 +566,9 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     return _node(out, parents, back, "batchnorm")
 
 
-def _check_dropout_rate(rate: float, in_bytes: bool = False) -> None:
+def check_dropout_rate(rate: float, in_bytes: bool = False) -> None:
+    """Raise ValueError unless 0 <= rate < 1 and, for a byte keep-mask
+    (`in_bytes`), rate is a multiple of 1/256."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if in_bytes and not float(rate * 256).is_integer():
@@ -577,7 +579,7 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Te
     """Inverted dropout: kept activations are scaled by 1/(1-rate). The
     keep-mask is one draw from rng over x's whole shape
     (rng.random(shape) >= rate)."""
-    _check_dropout_rate(rate)
+    check_dropout_rate(rate)
     if not train or rate == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= rate) * (1.0 / (1.0 - rate))
@@ -593,7 +595,7 @@ def byte_keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Boolean dropout keep-mask of `shape`, one random byte per element:
     byte >= 256*rate, so each element is kept with probability exactly
     1 - rate. The rate must be a multiple of 1/256."""
-    _check_dropout_rate(rate, in_bytes=True)
+    check_dropout_rate(rate, in_bytes=True)
     n = math.prod(shape)
     return (np.frombuffer(rng.bytes(n), np.uint8) >= int(rate * 256)).reshape(shape)
 
@@ -678,7 +680,7 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
-    _check_dropout_rate(rate, in_bytes=True)
+    check_dropout_rate(rate, in_bytes=True)
     shape = x.data.shape
     if len(shape) == 3 and shape[2] < pool:
         raise ValueError(f"signal of length {shape[2]} shorter than pool {pool}")

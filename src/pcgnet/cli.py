@@ -64,12 +64,8 @@ def _out_dir(path: str) -> Path:
 
 
 def _write_response_csv(path: Path, filt: fir.FirFilter, n_points: int) -> None:
-    freq, mag, phase = fir.frequency_response(filt, n_points)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["freq_hz", "magnitude_db", "phase_rad"])
-        for f, m, p in zip(freq, mag, phase):
-            w.writerow([repr(float(f)), repr(float(m)), repr(float(p))])
+    dat.write_csv(path, ["freq_hz", "magnitude_db", "phase_rad"],
+                  zip(*fir.frequency_response(filt, n_points)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +260,8 @@ def cmd_train(args, argv) -> int:
     ckpt = out / "checkpoint.ckpt"
     mdl.save(net, str(ckpt))
     hist_path = out / "history.csv"
-    with open(hist_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss", "val_macc_pct", "val_cycle_acc"])
-        for rec in history:
-            w.writerow([rec.epoch, repr(rec.train_loss), repr(rec.val_macc_pct),
-                        repr(rec.val_cycle_acc)])
+    dat.write_csv(hist_path, ["epoch", "train_loss", "val_macc_pct", "val_cycle_acc"],
+                  ([h.epoch, h.train_loss, h.val_macc_pct, h.val_cycle_acc] for h in history))
     best = max((h.val_macc_pct for h in history), default=float("nan"))
     print(f"{config_name(net_cfg)} fold {args.fold}: best val Macc "
           f"{trn.round2(best) if history else 'n/a'}")
@@ -281,6 +273,9 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
+EVAL_RATES = ("sensitivity_pct", "specificity_pct", "macc_pct")
+
+
 def cmd_eval(args, argv) -> int:
     out = _out_dir(args.out)
     net = mdl.load(args.ckpt)
@@ -290,21 +285,14 @@ def cmd_eval(args, argv) -> int:
     report = trn.evaluate(net, store, val_idx, fold=args.fold)
     name = args.config_name or config_name(net.config)
     path = out / "eval.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config", "fold", "tp", "tn", "fp", "fn",
-                    "sensitivity_pct", "specificity_pct", "macc_pct"])
-        w.writerow([name, report.fold, report.tp, report.tn, report.fp, report.fn,
-                    repr(report.sensitivity_pct), repr(report.specificity_pct),
-                    repr(report.macc_pct)])
+    dat.write_csv(path, ["config", "fold", "tp", "tn", "fp", "fn", *EVAL_RATES],
+                  [[name, report.fold, report.tp, report.tn, report.fp, report.fn,
+                    report.sensitivity_pct, report.specificity_pct, report.macc_pct]])
     print(f"{name} fold {args.fold}: sens {trn.round2(report.sensitivity_pct)} "
           f"spec {trn.round2(report.specificity_pct)} Macc {trn.round2(report.macc_pct)}")
     _write_manifest(out, argv, None,
                     [Path(args.ckpt), Path(args.cycles), Path(args.folds)], [path])
     return 0
-
-
-EVAL_RATES = ("sensitivity_pct", "specificity_pct", "macc_pct")
 
 
 def _read_eval_rows(path: Path) -> list[dict]:
@@ -351,35 +339,29 @@ def cmd_report(args, argv) -> int:
             source[key] = path
             by_config.setdefault(row["config"], []).append(row)
     summary = {}
+    rows = []
+    for name in sorted(by_config):
+        folds = sorted(by_config[name], key=lambda r: r["fold"])
+        sens = [r["sensitivity_pct"] for r in folds]
+        spec = [r["specificity_pct"] for r in folds]
+        macc = [r["macc_pct"] for r in folds]
+        stats = {m: trn.cross_fold_summary(v)
+                 for m, v in (("sens", sens), ("spec", spec), ("macc", macc))}
+        summary[name] = {
+            "folds": [r["fold"] for r in folds],
+            "sensitivity_pct": sens, "specificity_pct": spec, "macc_pct": macc,
+            "crossfold": {m: {"mean": s[0], "std": s[1]} for m, s in stats.items()},
+        }
+        # the cross-fold columns go on a config's first row only
+        crossfold = [trn.round2(v) for m in ("sens", "spec", "macc") for v in stats[m]]
+        for i, r in enumerate(folds):
+            rows.append([name, r["fold"], trn.round2(sens[i]), trn.round2(spec[i]),
+                         trn.round2(macc[i]), *(crossfold if i == 0 else [""] * 6)])
     report_path = out / "report.csv"
-    with open(report_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config", "fold", "sensitivity_pct", "specificity_pct", "macc_pct",
-                    "crossfold_sens_mean", "crossfold_sens_std",
-                    "crossfold_spec_mean", "crossfold_spec_std",
-                    "crossfold_macc_mean", "crossfold_macc_std"])
-        for name in sorted(by_config):
-            folds = sorted(by_config[name], key=lambda r: r["fold"])
-            sens = [r["sensitivity_pct"] for r in folds]
-            spec = [r["specificity_pct"] for r in folds]
-            macc = [r["macc_pct"] for r in folds]
-            stats = {m: trn.cross_fold_summary(v)
-                     for m, v in (("sens", sens), ("spec", spec), ("macc", macc))}
-            summary[name] = {
-                "folds": [r["fold"] for r in folds],
-                "sensitivity_pct": sens, "specificity_pct": spec, "macc_pct": macc,
-                "crossfold": {m: {"mean": s[0], "std": s[1]} for m, s in stats.items()},
-            }
-            for i, r in enumerate(folds):
-                lead = [name, r["fold"], trn.round2(sens[i]), trn.round2(spec[i]),
-                        trn.round2(macc[i])]
-                if i == 0:
-                    lead += [trn.round2(stats["sens"][0]), trn.round2(stats["sens"][1]),
-                             trn.round2(stats["spec"][0]), trn.round2(stats["spec"][1]),
-                             trn.round2(stats["macc"][0]), trn.round2(stats["macc"][1])]
-                else:
-                    lead += ["", "", "", "", "", ""]
-                w.writerow(lead)
+    dat.write_csv(report_path, ["config", "fold", *EVAL_RATES,
+                                "crossfold_sens_mean", "crossfold_sens_std",
+                                "crossfold_spec_mean", "crossfold_spec_std",
+                                "crossfold_macc_mean", "crossfold_macc_std"], rows)
     json_path = out / "report.json"
     with open(json_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -398,12 +380,9 @@ def cmd_analyze(args, argv) -> int:
     if net.frontend is not None:
         kern = net.frontend.materialized_kernel().data
         kpath = out / "kernels.csv"
-        with open(kpath, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["band", "tap", "value"])
-            for b in range(kern.shape[0]):
-                for i, v in enumerate(kern[b, 0]):
-                    w.writerow([b, i, repr(float(v))])
+        dat.write_csv(kpath, ["band", "tap", "value"],
+                      ([b, i, v] for b, taps in enumerate(kern[:, 0])
+                       for i, v in enumerate(taps)))
         outputs.append(kpath)
         for b in range(kern.shape[0]):
             filt = fir.FirFilter(coeffs=kern[b, 0], order=kern.shape[2] - 1,
@@ -426,11 +405,7 @@ def cmd_analyze(args, argv) -> int:
                 continue
             freq, avg = profs
             ppath = out / f"ltsa_{tag}.csv"
-            with open(ppath, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["freq_hz", "avg_log_magnitude_db"])
-                for f, v in zip(freq, avg):
-                    w.writerow([repr(float(f)), repr(float(v))])
+            dat.write_csv(ppath, ["freq_hz", "avg_log_magnitude_db"], zip(freq, avg))
             outputs.append(ppath)
     spath = out / "summary.json"
     with open(spath, "w") as fh:
@@ -478,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--lo", type=float, help="low band edge in Hz")
     d.add_argument("--hi", type=float, help="high band edge in Hz")
     d.add_argument("--order", type=int, default=fir.DEFAULT_ORDER)
-    d.add_argument("--rate", type=float, default=1000.0)
+    d.add_argument("--rate", type=float, default=dat.PIPELINE_RATE_HZ)
     d.add_argument("--bank", action="store_true", help="design all four standard bands")
     d.add_argument("--points", type=int, default=512)
     d.add_argument("--out", required=True)

@@ -121,6 +121,19 @@ def write_wav(path: str, x: Waveform) -> None:
         wf.writeframes(pcm.tobytes())
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write every CSV artifact of the pipeline: the header row, then
+    `rows`, in the default csv dialect (lines end in \\r\\n). A float cell,
+    Python or numpy, is written as repr(float(v)), the shortest text that
+    reads back to the same double; any other cell is written as is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                        for v in row])
+
+
 def _manifest_rows(path: str, column: str) -> dict[str, str]:
     """id -> value of a two-column CSV manifest; blank rows and an
     `id,...` header are skipped. Any unreadable or short row, or an id
@@ -156,11 +169,7 @@ def read_label_manifest(path: str) -> dict[str, int]:
 
 
 def write_label_manifest(path: str, metas: list[RecordingMeta]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "label"])
-        for m in metas:
-            w.writerow([m.id, 1 if m.label == 1 else -1])
+    write_csv(path, ["id", "label"], ([m.id, 1 if m.label == 1 else -1] for m in metas))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +268,10 @@ def make_folds(metas: list[RecordingMeta], seed: int,
     folds_todo = [0, 1, 2, 3]
     pool = sorted(by_id)
     if pinned_fold0 is not None:
+        if not pinned_fold0:
+            raise DataError("pinned fold 0 lists no recording ids")
+        if len(set(pinned_fold0)) != len(pinned_fold0):
+            raise DataError("pinned fold 0 lists an id twice")
         missing = [r for r in pinned_fold0 if r not in by_id]
         if missing:
             raise DataError(f"pinned fold-0 ids not in dataset: {missing[:5]}")
@@ -289,11 +302,7 @@ def make_folds(metas: list[RecordingMeta], seed: int,
 
 
 def write_fold_manifest(path: str, assignment: dict[str, int]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "fold"])
-        for rid in sorted(assignment):
-            w.writerow([rid, assignment[rid]])
+    write_csv(path, ["id", "fold"], ([rid, assignment[rid]] for rid in sorted(assignment)))
 
 
 def read_fold_manifest(path: str) -> dict[str, int]:
@@ -319,9 +328,6 @@ class SynthRecording:
     waveform: Waveform
     meta: RecordingMeta
     bpm: float
-    s1_freq_hz: float
-    s2_freq_hz: float
-    murmur_freqs_hz: tuple[float, ...]   # empty for normal recordings
 
 
 MURMUR_BAND_HZ = (150.0, 400.0)
@@ -360,9 +366,8 @@ def synth_pcg(n_recordings: int, abnormal_fraction: float = 0.21, seed: int = 0,
         s1f = rng.uniform(30.0, 80.0)
         s2f = rng.uniform(40.0, 100.0)
         x = rng.normal(0.0, 0.02, size=n)
-        murmur_freqs: tuple[float, ...] = ()
         if label == 1:
-            murmur_freqs = tuple(rng.uniform(*MURMUR_BAND_HZ, size=6))
+            murmur_freqs = rng.uniform(*MURMUR_BAND_HZ, size=6)
             murmur_phases = rng.uniform(0.0, 2.0 * np.pi, size=6)
         start = rng.uniform(0.05, 0.3)
         pos = start
@@ -376,9 +381,7 @@ def synth_pcg(n_recordings: int, abnormal_fraction: float = 0.21, seed: int = 0,
             pos += period
         x *= 0.9 / np.abs(x).max()
         meta = RecordingMeta(id=f"rec{i:04d}", label=label, subset="synthetic")
-        out.append(SynthRecording(waveform=Waveform(x, source_rate_hz), meta=meta,
-                                  bpm=bpm, s1_freq_hz=s1f, s2_freq_hz=s2f,
-                                  murmur_freqs_hz=murmur_freqs))
+        out.append(SynthRecording(waveform=Waveform(x, source_rate_hz), meta=meta, bpm=bpm))
     return out
 
 
@@ -449,9 +452,10 @@ class CycleStore:
     @classmethod
     def load(cls, path: str) -> "CycleStore":
         """Read a store written by `save`. Anything malformed is a DataError:
-        a short file, no cycles, non-finite samples, or a metadata row
-        without a string `recording_id`, a 0/1 `label` and an integer
-        `valid_len` in [MIN_CYCLE_LEN, cycle length]."""
+        a short file, no cycles, cycles shorter than MIN_CYCLE_LEN,
+        non-finite samples, or a metadata row without a string
+        `recording_id`, a 0/1 `label` and an integer `valid_len` in
+        [MIN_CYCLE_LEN, cycle length]."""
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -466,6 +470,8 @@ class CycleStore:
         n, dim = struct.unpack_from("<QQ", blob, head)
         if n == 0:
             raise DataError(f"{path} holds no cycles")
+        if dim < MIN_CYCLE_LEN:     # no valid_len could fit
+            raise DataError(f"{path}: cycles of {dim} samples are shorter than {MIN_CYCLE_LEN}")
         nbytes = 8 * n * dim
         if len(blob) < body + nbytes:
             raise DataError(f"{path} is truncated")

@@ -42,7 +42,7 @@ from . import autodiff as ad
 from .data import CYCLE_LEN, PIPELINE_RATE_HZ
 from .dsp import next_pow2
 from .errors import CheckpointError, check_field_types
-from .fir import FilterBank, default_bank
+from .fir import DEFAULT_ORDER, FilterBank, default_bank
 from .frontend import TConvLayer, init_kernel, param_spec
 
 FRONTENDS = ("external_fir", "tconv_free", "tconv_lp", "tconv_zp")
@@ -59,7 +59,7 @@ class NetworkConfig:
     init: str = "fir_bank"          # ignored for external_fir
     frontend_trainable: bool = True
     bands: int = 4
-    kernel_len: int = 61            # front-end kernel length (odd)
+    kernel_len: int = DEFAULT_ORDER + 1   # front-end kernel length (odd)
     branch_kernel: int = 5
     conv1_filters: int = 8
     conv2_filters: int = 4
@@ -90,10 +90,7 @@ class NetworkConfig:
                              f"than input_len {self.input_len}")
         if self.pool < 1:
             raise ValueError("pool must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if not float(self.dropout * 256).is_integer():   # the keep-mask compares bytes
-            raise ValueError(f"dropout must be a multiple of 1/256, got {self.dropout!r}")
+        ad.check_dropout_rate(self.dropout, in_bytes=True)
         if not self.l2_conv >= 0.0:
             raise ValueError(f"l2_conv must be >= 0, got {self.l2_conv!r}")
         if self.seed < 0:
@@ -407,6 +404,8 @@ def load(path: str) -> Network:
                 name = _read_exact(fh, nlen).decode()
             except UnicodeDecodeError:
                 raise CheckpointError("bad blob name in checkpoint") from None
+            if name in blobs:
+                raise CheckpointError(f"blob {name} is stored twice")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
             if ndim > 3:    # no stored array has more axes than a kernel
                 raise CheckpointError(f"blob {name} has {ndim} dimensions")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcgnet import training as trn
 from pcgnet.cli import main
 from pcgnet.data import (MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest,
                          write_wav)
@@ -22,6 +23,15 @@ from _reference import REFERENCE_ROWS
 
 EVAL_HEADER = ["config", "fold", "tp", "tn", "fp", "fn",
                "sensitivity_pct", "specificity_pct", "macc_pct"]
+# report.csv of TestReport.test_report_csv_text, byte for byte
+REPORT_CSV_TEXT = (
+    b"config,fold,sensitivity_pct,specificity_pct,macc_pct,"
+    b"crossfold_sens_mean,crossfold_sens_std,crossfold_spec_mean,crossfold_spec_std,"
+    b"crossfold_macc_mean,crossfold_macc_std\r\n"
+    b"lp,0,72.44,0.0,36.22,79.97,10.65,50.0,70.71,64.98,40.68\r\n"
+    b"lp,1,87.5,100.0,93.75,,,,,,\r\n"
+    b"zp,0,100.0,50.0,75.0,81.25,26.52,65.91,22.5,73.58,2.01\r\n"
+    b"zp,1,62.5,81.82,72.16,,,,,,\r\n")
 
 
 def digest(path):
@@ -204,6 +214,22 @@ class TestSynthIngestFolds:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "pin.txt" in err[0]
 
+    @pytest.mark.parametrize("case", ["repeated", "empty"])
+    def test_repeated_or_empty_pin_list_is_data_error(self, pipeline, tmp_path, capsys, case):
+        # a repeated id once made 1 normal + 2 abnormal pass as balanced
+        labels = CycleStore.load(pipeline / "store" / "cycles.bin").recording_labels()
+        normal = sorted(r for r, lab in labels.items() if lab == 0)
+        abnormal = sorted(r for r, lab in labels.items() if lab == 1)
+        pin = tmp_path / "pin.txt"
+        pin.write_text("\n".join([normal[0], normal[0], *abnormal[:2]]) + "\n"
+                       if case == "repeated" else "\n")
+        capsys.readouterr()
+        assert main(["folds", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--pin-fold0", str(pin), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp_path / "o" / "folds.csv").exists()
+
     @pytest.mark.parametrize("case", ["cut_inside_frame", "cut_before_first_frame",
                                       "rate_0", "rate_2^31", "rate_2^32-1"])
     def test_malformed_wav_is_data_error(self, pipeline, tmp_path, capsys, case):
@@ -290,6 +316,27 @@ class TestTrainEval:
         assert row["config"] == "lp-tconv-fir"
         counts = sum(int(row[c]) for c in ("tp", "tn", "fp", "fn"))
         assert counts == 2  # 6+6 recordings: each fold validates 1+1
+
+    def test_history_csv_reads_back_exactly(self, pipeline, tmp_path, monkeypatch):
+        trained, original = [], trn.train_fold
+
+        def train_fold(*args, **kwargs):
+            trained.append(original(*args, **kwargs))
+            return trained[-1]
+
+        monkeypatch.setattr(trn, "train_fold", train_fold)
+        run = tmp_path / "run"
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"),
+                     "--fold", "1", "--frontend", "zp", "--epochs", "2",
+                     "--batch-size", "16", "--seed", "5", "--out", str(run)]) == 0
+        with open(run / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        (_, history), = trained
+        assert [(int(r["epoch"]), float(r["train_loss"]), float(r["val_macc_pct"]),
+                 float(r["val_cycle_acc"])) for r in rows] == [
+            (h.epoch, h.train_loss, h.val_macc_pct, h.val_cycle_acc) for h in history]
+        assert len(rows) == 2
 
     def test_artifacts_equal_across_blas_thread_counts(self, pipeline, tmp_path):
         # train and eval in fresh processes, so the thread count is set
@@ -520,6 +567,23 @@ class TestReport:
         assert str(runs / "rerun" / "eval.csv") in err[0]
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    def test_report_csv_text(self, tmp_path):
+        # two configs x two folds, folds out of order on disk: the
+        # cross-fold columns go on a config's first row, blanks on the next
+        runs = tmp_path / "runs"
+        rows = {"zp": [(1, 62.5, 81.818181818181813, 72.15909090909091),
+                       (0, 100.0, 50.0, 75.0)],
+                "lp": [(0, 72.435, 0.0, 36.2175), (1, 87.5, 100.0, 93.75)]}
+        for name, folds in rows.items():
+            (runs / name).mkdir(parents=True)
+            with open(runs / name / "eval.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([EVAL_HEADER] + [
+                    [name, fold, 1, 1, 1, 1, sens, spec, macc]
+                    for fold, sens, spec, macc in folds])
+        out = tmp_path / "rep"
+        assert main(["report", "--runs", str(runs), "--out", str(out)]) == 0
+        assert (out / "report.csv").read_bytes() == REPORT_CSV_TEXT
+
     def test_empty_runs_dir_is_data_error(self, tmp_path):
         (tmp_path / "runs").mkdir()
         assert main(["report", "--runs", str(tmp_path / "runs"),
@@ -561,6 +625,20 @@ class TestAnalyze:
             assert np.abs(got_mag - mag).max() < 1e-9
         kern_rows = list(csv.DictReader(open(out / "kernels.csv", newline="")))
         assert len(kern_rows) == 4 * 61
+
+    def test_kernels_csv_reads_back_exactly(self, tmp_path):
+        net = build(NetworkConfig(frontend="tconv_zp", init="random", input_len=100, seed=4))
+        ckpt = tmp_path / "m.ckpt"
+        save(net, str(ckpt))
+        out = tmp_path / "an"
+        assert main(["analyze", "--ckpt", str(ckpt), "--out", str(out)]) == 0
+        with open(out / "kernels.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        kern = net.frontend.materialized_kernel().data
+        got = np.zeros_like(kern)
+        for r in rows:
+            got[int(r["band"]), 0, int(r["tap"])] = float(r["value"])
+        assert len(rows) == kern.size and np.array_equal(got, kern)
 
     def test_lp_checkpoint_reports_phase_linearity(self, tmp_path):
         net = build(NetworkConfig(frontend="tconv_lp", init="fir_bank", seed=1))

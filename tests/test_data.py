@@ -1,10 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from pcgnet.data import (CYCLE_LEN, CycleRecord, CycleStore, RecordingMeta,
                          SegmentationError, TRAIN_ONLY_FOLD, load_recording,
                          make_folds, read_fold_manifest, read_label_manifest,
-                         segment_cycles, synth_pcg, write_fold_manifest,
+                         segment_cycles, synth_pcg, write_csv, write_fold_manifest,
                          write_label_manifest, write_wav)
 from pcgnet.dsp import Waveform, ltsa
 from pcgnet.errors import DataError
@@ -180,6 +182,14 @@ class TestFolds:
         with pytest.raises(DataError):
             make_folds(self.metas(20, 20), seed=0, pinned_fold0=["n000", "n001", "a000"])
 
+    @pytest.mark.parametrize("pinned, match", [
+        (["n000", "n000", "a000", "a001"], "an id twice"),    # 1 normal, 2 abnormal
+        ([], "no recording ids"),
+    ])
+    def test_repeated_or_empty_pin_rejected(self, pinned, match):
+        with pytest.raises(DataError, match=match):
+            make_folds(self.metas(12, 12), seed=0, pinned_fold0=pinned)
+
     def test_deterministic(self):
         metas = self.metas(30, 14)
         assert make_folds(metas, seed=9) == make_folds(metas, seed=9)
@@ -276,3 +286,20 @@ class TestCycleStore:
         bad = np.ones(CYCLE_LEN)
         with pytest.raises(ValueError):
             CycleRecord("x", bad, 0, valid_len=1000)  # nonzero tail
+
+
+class TestWriteCsv:
+    def test_exact_floats_and_default_dialect(self, tmp_path):
+        floats = [0.1, 1e-300, -0.0, np.float64(1.0 / 3.0), np.float64(-2.5e-17)]
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "n", "x"],
+                  [["a,b", i, v] for i, v in enumerate(floats)])
+        raw = path.read_bytes()
+        assert raw.startswith(b"name,n,x\r\n") and b"np.float64" not in raw
+        assert raw.count(b"\r\n") == len(floats) + 1 and raw.count(b"\n") == len(floats) + 1
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[:2] for r in rows] == [["a,b", str(i)] for i in range(len(floats))]
+        back = [float(r[2]) for r in rows]
+        assert back == floats
+        assert [np.signbit(v) for v in back] == [np.signbit(v) for v in floats]

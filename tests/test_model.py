@@ -359,6 +359,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load(str(path))
 
+    def test_repeated_blob_rejected(self, tmp_path):
+        # one more blob than saved, a second head.b2: neither copy may win
+        net = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
+        path = tmp_path / "m.ckpt"
+        save(net, str(path))
+        blob = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<Q", blob, len(CKPT_MAGIC) + 4)
+        count_at = len(CKPT_MAGIC) + 4 + 8 + cfg_len + 8
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        struct.pack_into("<I", blob, count_at, count + 1)
+        blob += struct.pack("<H", 7) + b"head.b2" + struct.pack("<BQd", 1, 1, 7.0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="head.b2"):
+            load(str(path))
+
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")
