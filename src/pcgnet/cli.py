@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -27,11 +26,12 @@ from . import fir
 from . import model as mdl
 from . import training as trn
 from .dsp import Waveform, ltsa
-from .errors import CheckpointError, DataError, NumericalAbort
+from .errors import DataError, NumericalAbort
 
 FRONTEND_ALIASES = {"baseline": "external_fir", "tconv": "tconv_free",
                     "lp": "tconv_lp", "zp": "tconv_zp"}
 INIT_ALIASES = {"fir": "fir_bank", "random": "random", "zeros": "zeros"}
+RESPONSE_POINTS = 512       # --points default of design, response and analyze
 
 
 def _sha256(path: Path) -> str:
@@ -98,11 +98,7 @@ def cmd_design(args, argv) -> int:
 
 def cmd_response(args, argv) -> int:
     out = _out_dir(args.out)
-    try:
-        blob = Path(args.filter).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read filter {args.filter}: {e}") from None
-    filt = fir.filter_from_json(blob)
+    filt = fir.filter_from_json(dat.read_input(args.filter))
     rpath = out / "response.csv"
     _write_response_csv(rpath, filt, args.points)
     _write_manifest(out, argv, None, [Path(args.filter)], [rpath])
@@ -172,10 +168,7 @@ def cmd_folds(args, argv) -> int:
     pinned = None
     inputs = [Path(args.cycles)]
     if args.pin_fold0:
-        try:
-            text = Path(args.pin_fold0).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as e:
-            raise DataError(f"cannot read {args.pin_fold0}: {e}") from None
+        text = dat.read_text(args.pin_fold0)
         pinned = [line.strip() for line in text.splitlines() if line.strip()]
         inputs.append(Path(args.pin_fold0))
     assignment = dat.make_folds(metas, args.seed, pinned_fold0=pinned)
@@ -199,10 +192,7 @@ TRAIN_KEYS = ("lr0", "lr_decay", "batch_size", "epochs", "class_weights")
 def _read_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        overrides = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ValueError(f"cannot read config {path}: {e}") from None
+    overrides = json.loads(dat.read_input(path, ValueError))
     if not isinstance(overrides, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     unknown = sorted(set(overrides) - set(NETWORK_KEYS) - set(TRAIN_KEYS))
@@ -298,23 +288,18 @@ def cmd_eval(args, argv) -> int:
 def _read_eval_rows(path: Path) -> list[dict]:
     """The rows of one eval CSV as {config: str, fold: int, each of
     EVAL_RATES: float in [0, 100]}; anything else is a DataError."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-    missing = [c for c in ("config", "fold", *EVAL_RATES) if c not in (reader.fieldnames or ())]
+    header, *rows = dat.read_csv(path) or [[]]     # an empty file has no columns
+    missing = [c for c in ("config", "fold", *EVAL_RATES) if c not in header]
     if missing:
         raise DataError(f"{path} has no column {', '.join(missing)}")
     out = []
-    for n, row in enumerate(rows, 1):
+    for n, cells in enumerate((r for r in rows if r), 1):
+        row = dict(zip(header, cells))
         try:
             parsed = {"config": row["config"], "fold": int(row["fold"]),
                       **{c: float(row[c]) for c in EVAL_RATES}}
-            ok = parsed["config"] is not None and all(0.0 <= parsed[c] <= 100.0
-                                                      for c in EVAL_RATES)
-        except (TypeError, ValueError):   # a missing field is None
+            ok = all(0.0 <= parsed[c] <= 100.0 for c in EVAL_RATES)
+        except (KeyError, ValueError):   # a short row lacks a key
             ok = False
         if not ok:
             raise DataError(f"{path} row {n} is not a config name, an integer fold "
@@ -455,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--order", type=int, default=fir.DEFAULT_ORDER)
     d.add_argument("--rate", type=float, default=dat.PIPELINE_RATE_HZ)
     d.add_argument("--bank", action="store_true", help="design all four standard bands")
-    d.add_argument("--points", type=int, default=512)
+    d.add_argument("--points", type=int, default=RESPONSE_POINTS)
     d.add_argument("--out", required=True)
     d.set_defaults(fn=cmd_design)
 
     r = sub.add_parser("response", help="frequency response of a saved filter")
     r.add_argument("--filter", required=True)
-    r.add_argument("--points", type=int, default=512)
+    r.add_argument("--points", type=int, default=RESPONSE_POINTS)
     r.add_argument("--out", required=True)
     r.set_defaults(fn=cmd_response)
 
@@ -517,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="export kernels, responses and LTSA profiles")
     a.add_argument("--ckpt", required=True)
     a.add_argument("--cycles")
-    a.add_argument("--points", type=int, default=512)
+    a.add_argument("--points", type=int, default=RESPONSE_POINTS)
     a.add_argument("--out", required=True)
     a.set_defaults(fn=cmd_analyze)
     return p
@@ -532,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericalAbort as e:

@@ -12,8 +12,8 @@ segmentation quality is out of scope here.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import os
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -80,9 +80,9 @@ def load_recording(wav_path: str, label: int, recording_id: str | None = None,
     signal arbitrarily long) and one so high that no sample is left.
     """
     rid = recording_id or str(wav_path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    blob = read_input(wav_path)
     try:
-        size = os.path.getsize(wav_path)
-        with wave.open(str(wav_path), "rb") as wf:
+        with wave.open(io.BytesIO(blob)) as wf:
             if wf.getnchannels() != 1:
                 raise DataError(f"{rid}: only mono WAV supported, "
                                 f"got {wf.getnchannels()} channels")
@@ -91,8 +91,8 @@ def load_recording(wav_path: str, label: int, recording_id: str | None = None,
                                 f"got {8 * wf.getsampwidth()}-bit")
             rate = wf.getframerate()
             # the header's frame count may claim more than the file holds
-            raw = wf.readframes(min(wf.getnframes(), size // 2))
-    except (OSError, wave.Error, EOFError, RuntimeError) as e:
+            raw = wf.readframes(min(wf.getnframes(), len(blob) // 2))
+    except (wave.Error, EOFError, RuntimeError) as e:
         # wave raises a bare RuntimeError for a chunk that runs past the file
         raise DataError(f"{rid}: unreadable WAV ({e or 'chunk runs past the file'})") from None
     if len(raw) < 2:
@@ -121,6 +121,55 @@ def write_wav(path: str, x: Waveform) -> None:
         wf.writeframes(pcm.tobytes())
 
 
+def read_input(path, error: type[Exception] = DataError) -> bytes:
+    """The bytes of one input file, the one place the package opens a file
+    it reads; a file that cannot be read (missing, a directory) raises `error`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from None
+
+
+def read_text(path) -> str:
+    """An input file decoded as UTF-8; any other bytes are a DataError."""
+    try:
+        return read_input(path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"cannot read {path}: not UTF-8 ({e})") from None
+
+
+def read_csv(path) -> list[list[str]]:
+    """The rows of a UTF-8 CSV input in the default csv dialect, blank
+    rows as []; a file the csv module cannot parse is a DataError."""
+    try:
+        return list(csv.reader(io.StringIO(read_text(path), newline="")))
+    except csv.Error as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+
+
+class ByteCursor:
+    """Reads the fields of a binary input front to back. `take` and `unpack`
+    check a field's length against the bytes left before they slice, so a
+    corrupt length field raises `error` before anything of its size is allocated."""
+
+    def __init__(self, blob: bytes, path, error: type[Exception] = DataError):
+        self.view = memoryview(blob)
+        self.pos = 0
+        self.path = path
+        self.error = error
+
+    def take(self, n: int, what: str) -> memoryview:
+        left = len(self.view) - self.pos
+        if n > left:
+            raise self.error(f"{self.path} is truncated: {what} needs {n} bytes, {left} left")
+        self.pos += n
+        return self.view[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write every CSV artifact of the pipeline: the header row, then
     `rows`, in the default csv dialect (lines end in \\r\\n). A float cell,
@@ -138,13 +187,8 @@ def _manifest_rows(path: str, column: str) -> dict[str, str]:
     """id -> value of a two-column CSV manifest; blank rows and an
     `id,...` header are skipped. Any unreadable or short row, or an id
     listed twice, is a DataError."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise DataError(f"cannot read {path}: {e}") from None
     out: dict[str, str] = {}
-    for row in rows:
+    for row in read_csv(path):
         if not row or row[0].strip().lower() == "id":
             continue
         if len(row) < 2:
@@ -456,31 +500,20 @@ class CycleStore:
         non-finite samples, or a metadata row without a string
         `recording_id`, a 0/1 `label` and an integer `valid_len` in
         [MIN_CYCLE_LEN, cycle length]."""
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError as e:
-            raise DataError(f"cannot read cycle store {path}: {e}") from None
-        head = len(STORE_MAGIC)
-        if blob[:head] != STORE_MAGIC:
+        cur = ByteCursor(read_input(path), path)
+        if cur.take(len(STORE_MAGIC), "magic") != STORE_MAGIC:
             raise DataError(f"{path} is not a cycle store")
-        body = head + 16
-        if len(blob) < body:
-            raise DataError(f"{path} is truncated")
-        n, dim = struct.unpack_from("<QQ", blob, head)
+        n, dim = cur.unpack("<QQ", "header")
         if n == 0:
             raise DataError(f"{path} holds no cycles")
         if dim < MIN_CYCLE_LEN:     # no valid_len could fit
             raise DataError(f"{path}: cycles of {dim} samples are shorter than {MIN_CYCLE_LEN}")
-        nbytes = 8 * n * dim
-        if len(blob) < body + nbytes:
-            raise DataError(f"{path} is truncated")
-        samples = np.frombuffer(blob, dtype="<f8", count=n * dim, offset=body)
-        samples = samples.reshape(n, dim).copy()
+        raw = cur.take(8 * n * dim, f"{n} x {dim} samples")
+        samples = np.frombuffer(raw, dtype="<f8").reshape(n, dim).copy()
         if not np.isfinite(samples).all():
             raise DataError(f"{path}: non-finite samples")
         try:
-            meta = json.loads(blob[body + nbytes:].decode())
+            meta = json.loads(bytes(cur.view[cur.pos:]).decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"{path}: bad metadata trailer ({e})") from None
         if not isinstance(meta, list) or len(meta) != n:

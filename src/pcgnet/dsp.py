@@ -20,6 +20,11 @@ DB_FLOOR = -120.0
 ZERO_MAG_EPS = 1e-300
 
 
+def magnitude_db(mag: np.ndarray) -> np.ndarray:
+    """20*log10 of a linear magnitude, floored at DB_FLOOR."""
+    return np.maximum(20.0 * np.log10(np.maximum(mag, 10.0 ** (DB_FLOOR / 20.0))), DB_FLOOR)
+
+
 def next_pow2(n: int) -> int:
     m = 1
     while m < n:
@@ -127,7 +132,7 @@ def ltsa(x: Waveform, window_len: int = 1024, hop: int = 512) -> LtsaProfile:
     for s in starts:
         seg = x.samples[s:s + window_len] * win
         mag = np.abs(np.fft.rfft(seg, n_fft))
-        acc += np.maximum(20.0 * np.log10(np.maximum(mag, 10.0 ** (DB_FLOOR / 20.0))), DB_FLOOR)
+        acc += magnitude_db(mag)
         count += 1
     freqs = np.fft.rfftfreq(n_fft, 1.0 / x.sample_rate_hz)
     return LtsaProfile(freq_hz=freqs, avg_log_magnitude_db=acc / count,

@@ -29,7 +29,7 @@ class NumericalAbort(Exception):
     """Training produced a non-finite loss and was aborted."""
 
 
-class CheckpointError(Exception):
+class CheckpointError(DataError):
     """A checkpoint file is missing, truncated or malformed."""
 
 

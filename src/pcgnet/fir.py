@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import DB_FLOOR, Waveform, unwrap_phase
+from .dsp import Waveform, magnitude_db, unwrap_phase
 from .errors import DataError, check_field_types
 
 # Default band edges (Hz) of the four-band heart-sound filter bank.
@@ -99,17 +99,22 @@ def apply_fir(filt: FirFilter, x: Waveform) -> Waveform:
     return Waveform(y, x.sample_rate_hz)
 
 
+def _dtft(filt: FirFilter, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, H(w)): the filter's transfer function at n_points angular
+    frequencies w evenly spaced on [0, pi]."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    w = np.linspace(0.0, np.pi, n_points)
+    return w, np.exp(-1j * np.outer(w, np.arange(filt.order + 1))) @ filt.coeffs
+
+
 def frequency_response(filt: FirFilter, n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Magnitude (dB) and unwrapped phase (rad) on [0, Nyquist].
 
     Returns (freq_hz, magnitude_db, phase_rad), n_points samples.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    w = np.linspace(0.0, np.pi, n_points)
-    h = np.exp(-1j * np.outer(w, np.arange(filt.order + 1))) @ filt.coeffs
-    mag_db = np.maximum(20.0 * np.log10(np.maximum(np.abs(h), 10.0 ** (DB_FLOOR / 20.0))),
-                        DB_FLOOR)
+    w, h = _dtft(filt, n_points)
+    mag_db = magnitude_db(np.abs(h))
     phase, _ = unwrap_phase(h)
     freq = w * filt.design_rate_hz / (2.0 * np.pi)
     return freq, mag_db, phase
@@ -127,11 +132,8 @@ def linear_phase_deviation(filt: FirFilter, n_points: int = 2049,
     bins within rel_db of the magnitude peak; it is ~1e-13 for any
     symmetric kernel and large for a genuinely nonlinear-phase one.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
     delay = filt.order / 2.0
-    w = np.linspace(0.0, np.pi, n_points)
-    h = np.exp(-1j * np.outer(w, np.arange(filt.order + 1))) @ filt.coeffs
+    w, h = _dtft(filt, n_points)
     mag = np.abs(h)
     inband = mag > mag.max() * 10.0 ** (rel_db / 20.0)
     rotated = h[inband] * np.exp(1j * w[inband] * delay)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, asdict, fields
 from functools import cached_property
@@ -39,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .data import CYCLE_LEN, PIPELINE_RATE_HZ
+from .data import CYCLE_LEN, PIPELINE_RATE_HZ, ByteCursor, read_input
 from .dsp import next_pow2
 from .errors import CheckpointError, check_field_types
 from .fir import DEFAULT_ORDER, FilterBank, default_bank
@@ -81,8 +80,8 @@ class NetworkConfig:
         if self.bands != 4 or self.branch_kernel != 5 or self.conv1_filters != 8 \
                 or self.conv2_filters != 4 or self.hidden != 20:
             raise ValueError("branch topology is fixed: 4 bands, kernel 5, 8/4 filters, 20 hidden")
-        if self.kernel_len % 2 == 0:
-            raise ValueError("front-end kernel length must be odd")
+        if self.kernel_len < 3 or self.kernel_len % 2 == 0:
+            raise ValueError(f"kernel_len must be odd and >= 3, got {self.kernel_len}")
         if self.input_len < 20:
             raise ValueError("input_len must be >= 20")
         if self.frontend == "external_fir" and self.kernel_len > self.input_len:
@@ -345,13 +344,6 @@ def aggregate_recording(cycle_probs) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 # checkpoint io
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
-    return data
-
-
 def save(net: Network, path: str) -> None:
     """Write a bit-exact snapshot: config, every array, running stats, step."""
     buf = io.BytesIO()
@@ -378,44 +370,36 @@ def save(net: Network, path: str) -> None:
 
 def load(path: str) -> Network:
     """Rebuild a network from a checkpoint; fails cleanly on truncation."""
+    cur = ByteCursor(read_input(path, CheckpointError), path, CheckpointError)
+    if cur.take(len(CKPT_MAGIC), "magic") != CKPT_MAGIC:
+        raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
+    (version,) = cur.unpack("<I", "version")
+    if version != CKPT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = cur.unpack("<Q", "config length")
     try:
-        fh = open(path, "rb")
-    except OSError as e:
-        raise CheckpointError(f"cannot open checkpoint {path}: {e}") from None
-    with fh:
-        if _read_exact(fh, len(CKPT_MAGIC)) != CKPT_MAGIC:
-            raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        size = os.fstat(fh.fileno()).st_size
-        (cfg_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        _check_room(fh, size, cfg_len, "config")
+        cfg = NetworkConfig(**json.loads(bytes(cur.take(cfg_len, "config"))))
+    except (ValueError, TypeError) as e:
+        raise CheckpointError(f"bad config in checkpoint: {e}") from None
+    step, count = cur.unpack("<QI", "step and blob count")
+    blobs: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nlen,) = cur.unpack("<H", "blob name length")
         try:
-            cfg = NetworkConfig(**json.loads(_read_exact(fh, cfg_len)))
-        except (ValueError, TypeError) as e:
-            raise CheckpointError(f"bad config in checkpoint: {e}") from None
-        (step,) = struct.unpack("<Q", _read_exact(fh, 8))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        blobs: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
-            try:
-                name = _read_exact(fh, nlen).decode()
-            except UnicodeDecodeError:
-                raise CheckpointError("bad blob name in checkpoint") from None
-            if name in blobs:
-                raise CheckpointError(f"blob {name} is stored twice")
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-            if ndim > 3:    # no stored array has more axes than a kernel
-                raise CheckpointError(f"blob {name} has {ndim} dimensions")
-            _check_room(fh, size, 8 * ndim, f"shape of {name}")
-            shape = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(ndim))
-            _check_room(fh, size, 8 * math.prod(shape), f"blob {name} {shape}")
-            arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
-            if not np.all(np.isfinite(arr)):
-                raise CheckpointError(f"blob {name} holds NaN or Inf")
-            blobs[name] = arr.reshape(shape).copy()
+            name = bytes(cur.take(nlen, "blob name")).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError("bad blob name in checkpoint") from None
+        if name in blobs:
+            raise CheckpointError(f"blob {name} is stored twice")
+        (ndim,) = cur.unpack("<B", f"ndim of {name}")
+        if ndim > 3:    # no stored array has more axes than a kernel
+            raise CheckpointError(f"blob {name} has {ndim} dimensions")
+        shape = cur.unpack(f"<{ndim}Q", f"shape of {name}")
+        arr = np.frombuffer(cur.take(8 * math.prod(shape), f"blob {name} {shape}"),
+                            dtype="<f8")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"blob {name} holds NaN or Inf")
+        blobs[name] = arr.reshape(shape).copy()
 
     # the arrays whose size the config sets must be the ones stored, or
     # build(cfg) would allocate whatever a corrupt config asks for
@@ -447,10 +431,3 @@ def _config_sized_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]
         out.append(param_spec(_VARIANT_OF[cfg.frontend], cfg.bands, cfg.kernel_len))
     return out
 
-
-def _check_room(fh, size: int, n_bytes: int, what: str) -> None:
-    """Reject a length field that claims more bytes than the file has left."""
-    left = size - fh.tell()
-    if n_bytes > left:
-        raise CheckpointError(f"corrupt checkpoint: {what} needs {n_bytes} bytes, "
-                              f"{left} left")

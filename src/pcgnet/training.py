@@ -37,7 +37,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("lr0", "lr_decay", "batch_size"):
+        for name in ("lr0", "lr_decay"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.epochs < 0:
@@ -128,12 +128,6 @@ class FoldReport:
         self.sensitivity_pct = 100.0 * self.tp / (self.tp + self.fn)
         self.specificity_pct = 100.0 * self.tn / (self.tn + self.fp)
         self.macc_pct = 0.5 * (self.sensitivity_pct + self.specificity_pct)
-
-
-def macc_pct(sensitivity_pct: float, specificity_pct: float) -> float:
-    """Macc from already-rounded percentages, in exact decimal arithmetic."""
-    s = Decimal(repr(float(sensitivity_pct))) + Decimal(repr(float(specificity_pct)))
-    return float((s / 2).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def cross_fold_summary(values) -> tuple[float, float]:

@@ -294,6 +294,43 @@ class TestSynthIngestFolds:
             assert len(err) == 1 and err[0].startswith("data error:"), argv[0]
 
 
+class TestInputFiles:
+    # each input the CLI reads, as (the path given for it, the command);
+    # {bad} is that path, and every one is made a directory
+    INPUTS = {
+        "wav": ("wav/rec0000.wav", ["ingest", "--wav-dir", "{tmp}/wav",
+                                    "--labels", "{pipe}/data/labels.csv"]),
+        "labels": ("labels.csv", ["ingest", "--wav-dir", "{pipe}/data/wav",
+                                  "--labels", "{bad}"]),
+        "folds": ("folds.csv", ["train", "--cycles", "{pipe}/store/cycles.bin",
+                                "--folds", "{bad}", "--fold", "0", "--epochs", "0"]),
+        "cycles": ("cycles.bin", ["folds", "--cycles", "{bad}"]),
+        "ckpt": ("m.ckpt", ["analyze", "--ckpt", "{bad}"]),
+        "filter": ("filter.json", ["response", "--filter", "{bad}"]),
+        "pin": ("pin.txt", ["folds", "--cycles", "{pipe}/store/cycles.bin",
+                            "--pin-fold0", "{bad}"]),
+        "eval": ("runs/eval.csv", ["report", "--runs", "{tmp}/runs"]),
+        "config": ("cfg.json", ["train", "--cycles", "{pipe}/store/cycles.bin",
+                                "--folds", "{pipe}/folds/folds.csv", "--fold", "0",
+                                "--epochs", "0", "--config", "{bad}"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_directory_in_place_of_an_input_is_one_line(self, pipeline, tmp_path, capsys,
+                                                        kind):
+        where, argv = self.INPUTS[kind]
+        bad = tmp_path / where
+        bad.mkdir(parents=True)
+        argv = [a.format(tmp=tmp_path, pipe=pipeline, bad=bad) for a in argv]
+        capsys.readouterr()
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == (2 if kind == "config" else 3)
+        assert len(err) == 1 and "Traceback" not in err[0]
+        assert err[0].startswith("error:" if kind == "config" else "data error:")
+        assert f"cannot read {bad}" in err[0]
+
+
 class TestTrainEval:
     def test_train_eval_round(self, pipeline, tmp_path):
         run = tmp_path / "run"
@@ -412,6 +449,7 @@ class TestTrainEval:
         ("class_weights", [1.0]), ("class_weights", [1.0, 0.0]), ("class_weights", "x"),
         ("dropout", 0.3), ("batch_size", 1), ("pool", 2.0), ("kernel_len", 61.0),
         ("lr0", True), ("l2_conv", "0.1"), ("class_weights", 2.0),
+        ("kernel_len", -1), ("kernel_len", 1),
     ])
     def test_bad_config_value_is_usage_error(self, pipeline, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,11 @@
 import csv
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcgnet.data import (CYCLE_LEN, CycleRecord, CycleStore, RecordingMeta,
+from pcgnet.data import (CYCLE_LEN, ByteCursor, CycleRecord, CycleStore, RecordingMeta,
                          SegmentationError, TRAIN_ONLY_FOLD, load_recording,
                          make_folds, read_fold_manifest, read_label_manifest,
                          segment_cycles, synth_pcg, write_csv, write_fold_manifest,
@@ -303,3 +305,37 @@ class TestWriteCsv:
         back = [float(r[2]) for r in rows]
         assert back == floats
         assert [np.signbit(v) for v in back] == [np.signbit(v) for v in floats]
+
+
+class CursorError(Exception):
+    pass
+
+
+class TestByteCursor:
+    def test_fields_in_file_order(self):
+        cur = ByteCursor(struct.pack("<HQ", 7, 2 ** 40) + b"abc", "f.bin")
+        assert cur.unpack("<H", "count") == (7,)
+        assert cur.unpack("<Q", "length") == (2 ** 40,)
+        assert cur.take(3, "name") == b"abc"
+
+    def test_field_past_the_end_raises_the_given_class(self):
+        cur = ByteCursor(b"\x01\x02\x03", "f.bin", CursorError)
+        with pytest.raises(CursorError, match="f.bin.*name needs 4 bytes, 3 left"):
+            cur.take(4, "name")
+        with pytest.raises(CursorError, match="length"):
+            cur.unpack("<Q", "length")
+        assert cur.take(3, "name") == b"\x01\x02\x03"    # a failed read takes nothing
+        with pytest.raises(DataError):
+            ByteCursor(b"", "f.bin").unpack("<B", "ndim")
+
+    def test_huge_length_allocates_nothing(self):
+        cur = ByteCursor(bytes(64), "f.bin")
+        tracemalloc.start()
+        try:
+            for n in (2 ** 62, 8 * 2 ** 62, 2 ** 64 - 1):
+                with pytest.raises(DataError):
+                    cur.take(n, "blob")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

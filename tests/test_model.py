@@ -1,3 +1,4 @@
+import json
 import struct
 from pathlib import Path
 
@@ -373,6 +374,22 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="head.b2"):
             load(str(path))
+
+    @pytest.mark.parametrize("kernel_len", [-1, 1])
+    def test_kernel_len_below_three_rejected(self, tmp_path, kernel_len):
+        # no array of a baseline checkpoint is sized by kernel_len, so the
+        # config check alone keeps it from a filter bank of order < 2
+        save(build(NetworkConfig(frontend="external_fir", input_len=100, seed=0)),
+             str(tmp_path / "m.ckpt"))
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        at = len(CKPT_MAGIC) + 4
+        (n,) = struct.unpack_from("<Q", blob, at)
+        cfg = json.dumps({**json.loads(blob[at + 8:at + 8 + n]),
+                          "kernel_len": kernel_len}).encode()
+        (tmp_path / "m.ckpt").write_bytes(blob[:at] + struct.pack("<Q", len(cfg)) + cfg
+                                          + blob[at + 8 + n:])
+        with pytest.raises(CheckpointError, match="kernel_len"):
+            load(str(tmp_path / "m.ckpt"))
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

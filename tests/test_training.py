@@ -7,8 +7,8 @@ from pcgnet.errors import DataError, NumericalAbort
 from pcgnet.model import NetworkConfig, build
 from pcgnet.training import (AdamState, FoldReport, TrainConfig, adam_step,
                              class_weights_from, cross_fold_summary,
-                             effective_lr, evaluate, macc_pct,
-                             round2, split_fold, train_fold)
+                             effective_lr, evaluate, round2, split_fold,
+                             train_fold)
 
 from _reference import REFERENCE_ROWS, std_tolerance
 
@@ -144,12 +144,6 @@ class TestMetrics:
     def test_round2_half_up(self):
         assert round2(72.435) == 72.44
         assert round2(72.434) == 72.43
-
-    def test_macc_from_published_fold(self):
-        assert macc_pct(63.76, 81.11) == 72.44
-
-    def test_macc_equal_components(self):
-        assert macc_pct(86.47, 86.47) == 86.47
 
     def test_fold_report_arithmetic(self):
         rep = FoldReport(fold=0, tp=9, tn=8, fp=2, fn=1)
