@@ -19,11 +19,31 @@ times the kernel's is the full linear convolution, read from sample
 start = K - 1 - p (p the "same" padding). Backward transforms the output
 gradient once, placed at `start`, and correlates it with the signal (the
 kernel gradient) and with the kernel (the input gradient).
+
+Stage workers: the grouped conv1d direct path (k < FFT_KERNEL_MIN) splits
+its forward and backward work by whole channel groups and
+bn_relu_dropout_pool by channel pairs, one chunk per stage worker. The
+calling thread runs the first chunk and a module-level thread pool the
+rest. The worker count is the number of CPUs this process may run on
+(os.sched_getaffinity), capped at the number of groups or pairs; one
+worker runs everything inline. It is not a setting, and the BLAS thread
+variables do not set it. A chunk writes its results only into its own
+slice of arrays that the calling thread allocated, and calls array
+helpers only, never an op; graph nodes, random draws and running
+statistics stay on the calling thread. Every op split this way is per
+channel or per group, and the node reduces over blocks of two or three
+channels (numpy sums a lone channel in another order), so outputs,
+gradients and running statistics are bitwise the same for any worker
+count. Within its chunk the direct conv path works through the batch in
+cache-sized blocks of rows, rebuilding its window matrices in backward
+instead of keeping them, and the stage node works one pair at a time.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,12 +53,16 @@ from .dsp import next_pow2
 
 # Kernels at least this long go through the FFT convolution path.
 FFT_KERNEL_MIN = 16
+# The direct path works through the batch in blocks of rows whose window
+# copies take about this many bytes, so that each stays in cache.
+_BLOCK_BYTES = 1 << 20
 
 BCE_CLAMP = 1e-7
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 _grad_enabled = True
+_executor: ThreadPoolExecutor | None = None
 
 
 class Tensor:
@@ -146,6 +170,55 @@ def backward(root: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+# ---------------------------------------------------------------------------
+# stage workers
+
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def stage_workers(parts: int) -> int:
+    """Threads that a stage op split into `parts` independent parts runs on."""
+    return max(1, min(available_cpus(), parts))
+
+
+def _forget_executor() -> None:
+    """A forked child has none of its parent's pool threads: it starts a
+    pool of its own when it needs one."""
+    global _executor
+    _executor = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
+
+
+def _run_split(work, parts: int) -> None:
+    """Call work(p0, p1) on contiguous ranges of the parts, one range per
+    stage worker: the first on this thread, the others on the pool. Returns
+    once every range is done and raises the first error."""
+    n = stage_workers(parts)
+    if n == 1:
+        work(0, parts)
+        return
+    global _executor
+    if _executor is None:
+        _executor = ThreadPoolExecutor(max(1, available_cpus() - 1),
+                                       thread_name_prefix="pcgnet-stage")
+    bounds = [(i * parts // n, (i + 1) * parts // n) for i in range(n)]
+    futures = [_executor.submit(work, p0, p1) for p0, p1 in bounds[1:]]
+    try:
+        work(*bounds[0])
+    finally:
+        wait(futures)   # no chunk may outlive the arrays it writes
+    for f in futures:
+        f.result()
 
 
 # ---------------------------------------------------------------------------
@@ -341,51 +414,108 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
         # cols[b, g, c*k + j, n] = xp[b, g*ci + c, n + j]; the flipped kernel
         # times these windows is the convolution, already in [B, G*Co, Ln]
         xp = np.pad(x.data, ((0, 0), (0, 0), (p, p))) if p else x.data
-        lp = xp.shape[-1]
         win = sliding_window_view(xp, ln, axis=2)  # [B, G*Ci, k, Ln]
-        cols = np.ascontiguousarray(win).reshape(b, ng, ci * k, ln)
         kf = kernel.data[:, :, ::-1].reshape(ng, co, ci * k)
-        out = np.matmul(kf, cols).reshape(b, gco, ln)
+        out = np.empty((b, gco, ln))
+        out_g = out.reshape(b, ng, co, ln)
+
+        def forward(g0, g1):
+            for rows, cols in _window_blocks(win, g0, g1, ci):
+                np.matmul(kf[g0:g1], cols, out=out_g[rows, g0:g1])
+
+        _run_split(forward, ng)
 
     def back(g):
         g = np.ascontiguousarray(g).reshape(b, ng, co, ln)
-        if use_fft:
-            # g placed at `start` in a zeroed frame: no product wraps around
-            gfull = np.zeros((b, ng, co, nfft))
-            gfull[..., start:start + ln] = g
-            ghat = np.fft.rfft(gfull)
+        if not use_fft:
+            _conv_direct_backward(g, x, kernel, win, kf, p)
+            return
+        # g placed at `start` in a zeroed frame: no product wraps around
+        gfull = np.zeros((b, ng, co, nfft))
+        gfull[..., start:start + ln] = g
+        ghat = np.fft.rfft(gfull)
         if kernel.requires_grad:
-            if use_fft:
-                dk = np.fft.irfft(np.einsum("bgof,bgcf->gocf", ghat, np.conj(xhat)), nfft)
-                dk = dk[..., :k]
-            else:
-                dk = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-                dk = dk.reshape(ng, co, ci, k)[..., ::-1]
-            kernel.accumulate_owned(np.ascontiguousarray(dk).reshape(gco, ci, k))
+            dk = np.fft.irfft(np.einsum("bgof,bgcf->gocf", ghat, np.conj(xhat)), nfft)
+            kernel.accumulate_owned(np.ascontiguousarray(dk[..., :k]).reshape(gco, ci, k))
         if x.requires_grad:
-            if use_fft:
-                dx = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat, np.conj(khat)), nfft)
-                dx = dx[..., :length]
-            elif ci <= co:
-                # gradient of each window row c*k + j, scattered back to xp
-                # samples n + j: k shifted adds of [B, G, Ci, Ln]
-                dcols = np.matmul(kf.transpose(0, 2, 1), g).reshape(b, ng, ci, k, ln)
-                dxp = np.zeros((b, ng, ci, lp))
-                for j in range(k):
-                    dxp[..., j:j + ln] += dcols[:, :, :, j]
-                dx = dxp[..., p:p + length]
-            else:
-                # fewer output channels: gather windows of the zero-padded
-                # gradient instead (Co*k rows, not Ci*k) and apply the
-                # unflipped kernel
-                gp = np.pad(g, ((0, 0), (0, 0), (0, 0), (k - 1, k - 1)))
-                colsg = np.ascontiguousarray(sliding_window_view(gp, lp, axis=3))
-                kk = kernel.data.reshape(ng, co, ci, k).transpose(0, 2, 1, 3)
-                dxp = np.matmul(kk.reshape(ng, ci, co * k), colsg.reshape(b, ng, co * k, lp))
-                dx = dxp[..., p:p + length]
-            x.accumulate_owned(np.ascontiguousarray(dx).reshape(b, gci, length))
+            dx = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat, np.conj(khat)), nfft)
+            x.accumulate_owned(np.ascontiguousarray(dx[..., :length]).reshape(b, gci, length))
 
     return _node(out, (x, kernel), back, f"conv1d_{padding}")
+
+
+def _row_buffers(b: int, *shapes):
+    """(rows, buf, ...) for each block of b batch rows, one uninitialized
+    [rows, *shape] buffer per shape, reused from block to block; a block's
+    buffers take about _BLOCK_BYTES together."""
+    step = max(1, _BLOCK_BYTES // (8 * sum(math.prod(shape) for shape in shapes)))
+    bufs = [np.empty((min(step, b), *shape)) for shape in shapes]
+    for r0 in range(0, b, step):
+        m = min(step, b - r0)
+        yield (slice(r0, r0 + m), *(buf[:m] for buf in bufs))
+
+
+def _window_blocks(win: np.ndarray, g0: int, g1: int, ci: int):
+    """(rows, cols) for each block of batch rows of groups [g0, g1) of the
+    windows win [B, G*Ci, k, Ln]: cols[r, g, c*k + j, n] is
+    win[rows][r, (g0 + g)*ci + c, j, n]."""
+    b, _, k, ln = win.shape
+    gc = g1 - g0
+    for rows, cols in _row_buffers(b, (gc, ci * k, ln)):
+        np.copyto(cols.reshape(len(cols), gc * ci, k, ln), win[rows, g0 * ci:g1 * ci])
+        yield rows, cols
+
+
+def _conv_direct_backward(g, x: Tensor, kernel: Tensor, win, kf, p: int) -> None:
+    """Accumulate the direct path's gradients given g [B, G, Co, Ln], the
+    windows `win` and flipped kernel `kf` of its forward, and padding p."""
+    b, ng, co, ln = g.shape
+    ci, k = kernel.data.shape[1:]
+    length = x.data.shape[-1]
+    lp = length + 2 * p
+    dk = np.empty((ng, co, ci, k)) if kernel.requires_grad else None
+    dxp = np.empty((b, ng, ci, lp)) if x.requires_grad else None
+    if ci > co:   # the unflipped kernel, [G, Ci, Co*k]
+        kk = kernel.data.reshape(ng, co, ci, k).transpose(0, 2, 1, 3).reshape(ng, ci, co * k)
+
+    def backward_groups(g0, g1):
+        gc = g1 - g0
+        if dk is not None:
+            # one product per (row, group), summed over the rows at the end
+            prods = np.empty((b, gc, co, ci * k))
+            for rows, cols in _window_blocks(win, g0, g1, ci):
+                np.matmul(g[rows, g0:g1], cols.transpose(0, 1, 3, 2), out=prods[rows])
+            dk[g0:g1] = prods.sum(axis=0).reshape(gc, co, ci, k)[..., ::-1]
+        if dxp is None:
+            return
+        if ci <= co:
+            # gradient of each window row c*k + j, scattered back to xp
+            # samples n + j: k shifted adds of [rows, G, Ci, Ln]
+            for rows, buf in _row_buffers(b, (gc, ci * k, ln)):
+                dc = np.matmul(kf[g0:g1].transpose(0, 2, 1), g[rows, g0:g1], out=buf)
+                dc = dc.reshape(len(dc), gc, ci, k, ln)
+                dst = dxp[rows, g0:g1]
+                dst[...] = 0.0
+                for j in range(k):
+                    dst[..., j:j + ln] += dc[:, :, :, j]
+        else:
+            # fewer output channels: gather windows of the zero-padded
+            # gradient instead (Co*k rows, not Ci*k) and apply the
+            # unflipped kernel
+            for rows, buf, gp in _row_buffers(b, (gc, co * k, lp),
+                                              (gc, co, ln + 2 * (k - 1))):
+                gp[..., :k - 1] = gp[..., k - 1 + ln:] = 0.0
+                gp[..., k - 1:k - 1 + ln] = g[rows, g0:g1]
+                np.copyto(buf.reshape(len(buf), gc, co, k, lp),
+                          sliding_window_view(gp, lp, axis=3))
+                np.matmul(kk[g0:g1], buf, out=dxp[rows, g0:g1])
+
+    _run_split(backward_groups, ng)
+    if dk is not None:
+        kernel.accumulate_owned(dk.reshape(ng * co, ci, k))
+    if dxp is not None:
+        dx = dxp[..., p:p + length]
+        x.accumulate_owned(np.ascontiguousarray(dx).reshape(b, ng * ci, length))
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -479,48 +609,71 @@ class BatchNormState:
         out.var = self.var.copy()
         return out
 
+    def update(self, mu, var, bias: Tensor | None) -> None:
+        """Move toward the batch statistics (mu, var) of x; a bias folded
+        out of x is added back to the mean."""
+        self.mean *= BN_MOMENTUM
+        self.mean += (1.0 - BN_MOMENTUM) * (mu if bias is None else mu + bias.data)
+        self.var *= BN_MOMENTUM
+        self.var += (1.0 - BN_MOMENTUM) * var
 
-def _bn_coefficients(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                     train: bool, bias: Tensor | None):
-    """Validate a batch-norm call on x [B, C, L] and return (mu, ivar, a,
-    shift): the layer is x * a + shift per channel, with a = gamma * ivar
-    and shift = beta - a * mu. Train mode takes the batch statistics and
-    updates the running ones in place; infer mode reads the running ones."""
+
+def _bn_check(x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
+              train: bool) -> None:
+    """Validate a batch-norm call on x [B, C, L]."""
     if x.data.ndim != 3:
         raise ValueError("batchnorm1d expects x [B, C, L]")
-    b, c, length = x.data.shape
+    b, c, _ = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("gamma/beta must have shape [C]")
     if bias is not None and bias.data.shape != (c,):
         raise ValueError("bias must have shape [C]")
-    if train:
-        if b < 2:
-            raise ValueError("batchnorm in train mode needs batch >= 2")
-        mu = x.data.mean(axis=(0, 2))
-        xc = x.data - mu[None, :, None]
-        var = np.einsum("bcl,bcl->c", xc, xc) / (b * length)
-        del xc  # freed before the caller allocates its output
-        state.mean *= BN_MOMENTUM
-        state.mean += (1.0 - BN_MOMENTUM) * (mu if bias is None else mu + bias.data)
-        state.var *= BN_MOMENTUM
-        state.var += (1.0 - BN_MOMENTUM) * var
-    else:
-        mu = state.mean.copy() if bias is None else state.mean - bias.data
-        var = state.var
+    if train and b < 2:
+        raise ValueError("batchnorm in train mode needs batch >= 2")
+
+
+def _bn_batch_stats(x: np.ndarray, scratch: np.ndarray):
+    """Per-channel batch mean and (biased) variance of x [B, C, L]; x - mean
+    goes through `scratch`, an array of x's shape."""
+    mu = x.mean(axis=(0, 2))
+    np.subtract(x, mu[None, :, None], out=scratch)
+    return mu, np.einsum("bcl,bcl->c", scratch, scratch) / (x.shape[0] * x.shape[2])
+
+
+def _bn_affine(gamma, beta, mu, var):
+    """(ivar, a, shift): the layer is x * a + shift per channel, with
+    a = gamma * ivar and shift = beta - a * mu."""
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    a_ch = gamma.data * ivar
-    return mu, ivar, a_ch, beta.data - a_ch * mu
+    a_ch = gamma * ivar
+    return ivar, a_ch, beta - a_ch * mu
 
 
-def _bn_backward(g, x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
-                 train: bool, mu, ivar, a_ch, g_scratch: bool = False) -> None:
-    """Accumulate batch-norm's gradients given g, the gradient of its
-    output; in infer mode a folded bias gets one too. With g_scratch the
-    caller's g buffer is reused for dx."""
+def _bn_grads(g, x, mu, ivar, a_ch, train: bool, dx=None, g_scratch: bool = False):
+    """Batch-norm's backward on arrays: g the gradient of its output on x
+    [B, C, L]. Returns the channel sums (gsum, gxh), gxh = sum(g * xh), and
+    writes dL/dx into dx when one is given. With g_scratch the g buffer is
+    reused."""
     gsum = g.sum(axis=(0, 2))
-    if gamma.requires_grad or (x.requires_grad and train):
-        # sum(g * xh) without materializing xh = (x - mu) * ivar
-        gxh = (np.einsum("bcl,bcl->c", g, x.data) - mu * gsum) * ivar
+    # sum(g * xh) without materializing xh = (x - mu) * ivar
+    gxh = (np.einsum("bcl,bcl->c", g, x) - mu * gsum) * ivar
+    if dx is not None and train:
+        # dL/dx = a * (g - (gsum + xh * gxh) / m), expanded in x:
+        # a*g - c1*x + c0 with c1 = a*ivar*gxh/m, c0 = c1*mu - a*gsum/m
+        m = x.shape[0] * x.shape[2]
+        c1 = a_ch * ivar * gxh / m
+        c0 = c1 * mu - a_ch * gsum / m
+        np.multiply(x, -c1[None, :, None], out=dx)
+        dx += c0[None, :, None]
+        dx += np.multiply(g, a_ch[None, :, None], out=g if g_scratch else None)
+    elif dx is not None:
+        np.multiply(g, a_ch[None, :, None], out=dx)
+    return gsum, gxh
+
+
+def _bn_accumulate(x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
+                   train: bool, a_ch, gsum, gxh, dx) -> None:
+    """Hand batch-norm's gradients to its parents; in infer mode a folded
+    bias gets one too."""
     if gamma.requires_grad:
         gamma.accumulate_owned(gxh)
     if beta.requires_grad:
@@ -528,17 +681,6 @@ def _bn_backward(g, x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
     if not train and bias is not None and bias.requires_grad:
         bias.accumulate_owned(gsum * a_ch)
     if x.requires_grad:
-        if train:
-            # dL/dx = a * (g - (gsum + xh * gxh) / m), expanded in x:
-            # a*g - c1*x + c0 with c1 = a*ivar*gxh/m, c0 = c1*mu - a*gsum/m
-            m = x.data.shape[0] * x.data.shape[2]
-            c1 = a_ch * ivar * gxh / m
-            c0 = c1 * mu - a_ch * gsum / m
-            dx = np.multiply(x.data, -c1[None, :, None])
-            dx += c0[None, :, None]
-            dx += np.multiply(g, a_ch[None, :, None], out=g if g_scratch else None)
-        else:
-            dx = np.multiply(g, a_ch[None, :, None], out=g if g_scratch else None)
         x.accumulate_owned(dx)
 
 
@@ -554,14 +696,23 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     mode ignores it (it gets no gradient) except that the running mean
     tracks mean(x + bias); infer mode moves it into the shift.
     """
-    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, bias)
+    _bn_check(x, gamma, beta, bias, train)
+    out = np.empty_like(x.data)
+    if train:
+        mu, var = _bn_batch_stats(x.data, out)
+        state.update(mu, var, bias)
+    else:
+        mu, var = state.mean - (0.0 if bias is None else bias.data), state.var
+    ivar, a_ch, shift = _bn_affine(gamma.data, beta.data, mu, var)
     # two passes: out = x * (gamma*ivar) + (beta - gamma*ivar*mu)
-    out = x.data * a_ch[None, :, None]
+    np.multiply(x.data, a_ch[None, :, None], out=out)
     out += shift[None, :, None]
     parents = (x, gamma, beta) if train or bias is None else (x, gamma, beta, bias)
 
     def back(g):
-        _bn_backward(g, x, gamma, beta, bias, train, mu, ivar, a_ch)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        gsum, gxh = _bn_grads(g, x.data, mu, ivar, a_ch, train, dx)
+        _bn_accumulate(x, gamma, beta, bias, train, a_ch, gsum, gxh, dx)
 
     return _node(out, parents, back, "batchnorm")
 
@@ -607,13 +758,14 @@ def _pool_views(v: np.ndarray, pool: int) -> list[np.ndarray]:
     return [v[..., j:n:pool] for j in range(pool)]
 
 
-def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray) -> np.ndarray:
-    """Max of each non-overlapping pool window of v [B, C, L], the min on
-    the channels listed in `neg`; a trailing remainder is dropped."""
+def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out [B, C, L // pool] the max of each non-overlapping pool
+    window of v [B, C, L], the min on the channels listed in `neg`; a
+    trailing remainder is dropped. Returns out, or v itself for pool 1."""
     if pool == 1:
         return v
     views = _pool_views(v, pool)
-    out = np.maximum(views[0], views[1])
+    np.maximum(views[0], views[1], out=out)
     for view in views[2:]:
         np.maximum(out, view, out=out)
     if neg.size:
@@ -624,12 +776,10 @@ def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray):
-    """The offset in its window of the element _pool_max took, ties going
-    to the first: each view is compared with the running best by strict >
-    (strict < on `neg`)."""
-    if pool == 1:
-        return None
+def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> None:
+    """Write into out (unsigned ints) the offset in its window of the
+    element _pool_max took, ties going to the first: each view is compared
+    with the running best by strict > (strict < on `neg`)."""
     views = _pool_views(v, pool)
     best = views[0]
     for j, view in enumerate(views[1:], 1):
@@ -637,25 +787,34 @@ def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray):
         if neg.size:
             take[:, neg] = view[:, neg] < best[:, neg]
         if j == 1:   # the bool is offset 0 or 1 as it stands
-            winner = take.view(np.uint8).astype(np.min_scalar_type(pool - 1), copy=False)
+            np.copyto(out, take)
         else:
-            winner[take] = j
+            out[take] = j
         if j < pool - 1:
             best = np.where(take, view, best)
-    return winner
 
 
 def _pool_scatter(g: np.ndarray, gate: np.ndarray, winner, pool: int,
-                  shape) -> np.ndarray:
-    """A new [B, C, L] array holding g at the window winners where gate is
-    True, zero elsewhere."""
+                  out: np.ndarray) -> None:
+    """Write into out [B, C, L] g at the window winners where gate is True,
+    zero elsewhere."""
     if pool == 1:
-        return g * gate
-    full = np.empty(shape)
-    full[..., shape[-1] // pool * pool:] = 0.0
-    for j, view in enumerate(_pool_views(full, pool)):
+        np.multiply(g, gate, out=out)
+        return
+    out[..., out.shape[-1] // pool * pool:] = 0.0
+    for j, view in enumerate(_pool_views(out, pool)):
         np.multiply(g, gate & (winner == j), out=view)
-    return full
+
+
+def _channel_blocks(p0: int, p1: int, c: int) -> list[tuple[int, int]]:
+    """Channel ranges of pairs [p0, p1) of c channels: pair p is channels
+    2p and 2p + 1, the last pair also takes a trailing odd channel, and one
+    channel alone is pair 0. A block's passes stay in cache, and every
+    block of two or three channels reduces over (batch, length) in the
+    order the whole tensor does; numpy sums a one-channel slice in another
+    order."""
+    last = max(1, c // 2) - 1
+    return [(2 * p, c if p == last else 2 * p + 2) for p in range(p0, p1)]
 
 
 def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
@@ -676,42 +835,90 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
     where a >= 0, min where a < 0) and the map and relu run on the pooled
     values only; the output is bitwise that of the composed ops.
 
-    Pool windows and ties follow maxpool1d; pool 1 means no pool.
+    Pool windows and ties follow maxpool1d; pool 1 means no pool. The
+    stage workers split the channel pairs (_channel_blocks) between them,
+    forward and backward, and each runs its pairs one at a time, so y and
+    its gradient never exist for more than three channels per worker.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
     check_dropout_rate(rate, in_bytes=True)
-    shape = x.data.shape
-    if len(shape) == 3 and shape[2] < pool:
-        raise ValueError(f"signal of length {shape[2]} shorter than pool {pool}")
-    mu, ivar, a_ch, shift = _bn_coefficients(x, gamma, beta, state, train, bias)
+    _bn_check(x, gamma, beta, bias, train)
+    shape = b, c, length = x.data.shape
+    if length < pool:
+        raise ValueError(f"signal of length {length} shorter than pool {pool}")
+    pairs = max(1, c // 2)
+    pooled = (b, c, length // pool)
+    win_type = np.min_scalar_type(pool - 1)
     drop = train and rate != 0.0
+    keep = byte_keep_mask(rng, shape, rate) if drop else None
+    out = np.empty(shape if pool == 1 else pooled)
+    # infer mode finds the winners from x in backward, only if one runs
+    winner = np.empty(pooled, win_type) if train and pool > 1 else None
     if train:
-        y = x.data * a_ch[None, :, None]
-        y += shift[None, :, None]
-        if drop:
-            np.multiply(y, byte_keep_mask(rng, shape, rate), out=y)
-        neg = np.empty(0, dtype=np.intp)
-        winner = _pool_winner(y, pool, neg)
-        out = _pool_max(y, pool, neg)
-        del y
-        if drop:
-            out *= 1.0 / (1.0 - rate)
+        mu, var, ivar, a_ch, shift = np.empty((5, c))
+        neg = np.zeros(c, dtype=bool)   # the batch-norm scale is applied before the pool
+    else:
+        mu, var = state.mean - (0.0 if bias is None else bias.data), state.var
+        ivar, a_ch, shift = _bn_affine(gamma.data, beta.data, mu, var)
+        neg = a_ch < 0.0
+
+    def forward(p0, p1):
+        # y of one channel block (three channels at most)
+        scratch = np.empty((b, 3, length)) if train and pool > 1 else None
+        for c0, c1 in _channel_blocks(p0, p1, c):
+            xs, os_, lows = x.data[:, c0:c1], out[:, c0:c1], np.flatnonzero(neg[c0:c1])
+            if not train:
+                pooled_x = _pool_max(xs, pool, lows, os_)
+                np.multiply(pooled_x, a_ch[c0:c1, None], out=os_)
+                os_ += shift[c0:c1, None]
+                np.maximum(os_, 0.0, out=os_)
+                continue
+            ys = os_ if pool == 1 else scratch[:, :c1 - c0]
+            mu[c0:c1], var[c0:c1] = _bn_batch_stats(xs, ys)
+            ivar[c0:c1], a_ch[c0:c1], shift[c0:c1] = _bn_affine(
+                gamma.data[c0:c1], beta.data[c0:c1], mu[c0:c1], var[c0:c1])
+            np.multiply(xs, a_ch[c0:c1, None], out=ys)
+            ys += shift[c0:c1, None]
+            if drop:
+                np.multiply(ys, keep[:, c0:c1], out=ys)
+            if pool > 1:
+                _pool_winner(ys, pool, lows, winner[:, c0:c1])
+                _pool_max(ys, pool, lows, os_)
+            if drop:
+                os_ *= 1.0 / (1.0 - rate)
+            np.maximum(os_, 0.0, out=os_)
+
+    _run_split(forward, pairs)
+    if train:
+        state.update(mu, var, bias)
         parents = (x, gamma, beta)
     else:
-        neg = np.flatnonzero(a_ch < 0.0)
-        winner = None   # found from x in backward, only if a gradient is asked for
-        out = _pool_max(x.data, pool, neg) * a_ch[None, :, None]
-        out += shift[None, :, None]
         parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
-    np.maximum(out, 0.0, out=out)
 
     def back(g):
-        if drop:
-            g = g * (1.0 / (1.0 - rate))
-        win = winner if train else _pool_winner(x.data, pool, neg)
-        gy = _pool_scatter(g, out > 0.0, win, pool, shape)
-        _bn_backward(gy, x, gamma, beta, bias, train, mu, ivar, a_ch, g_scratch=True)
+        gsum, gxh = np.empty(c), np.empty(c)
+        dx = np.empty(shape) if x.requires_grad else None
+
+        def backward_pairs(p0, p1):
+            gy = np.empty((b, 3, length))
+            win = np.empty((b, 3, length // pool), win_type) if pool > 1 and not train else None
+            for c0, c1 in _channel_blocks(p0, p1, c):
+                xs, gs, gys = x.data[:, c0:c1], g[:, c0:c1], gy[:, :c1 - c0]
+                if drop:
+                    gs = gs * (1.0 / (1.0 - rate))
+                if win is not None:
+                    ws = win[:, :c1 - c0]
+                    _pool_winner(xs, pool, np.flatnonzero(neg[c0:c1]), ws)
+                else:
+                    ws = None if winner is None else winner[:, c0:c1]
+                _pool_scatter(gs, out[:, c0:c1] > 0.0, ws, pool, gys)
+                gsum[c0:c1], gxh[c0:c1] = _bn_grads(
+                    gys, xs, mu[c0:c1], ivar[c0:c1], a_ch[c0:c1], train,
+                    None if dx is None else dx[:, c0:c1], g_scratch=True)
+
+        _run_split(backward_pairs, pairs)
+        _bn_accumulate(x, gamma, beta, bias, train, a_ch, gsum, gxh, dx)
 
     return _node(out, parents, back, "bn_relu_dropout_pool")
 

@@ -3,8 +3,9 @@ fold creation, training, evaluation, reporting, and checkpoint analysis.
 
 Every command writes its artifacts under --out and drops a manifest.json
 recording the command line, seed, config hash, and sha256 digests of all
-inputs and outputs. Reruns with identical inputs and seed reproduce the
-output digests exactly.
+inputs and outputs, with an environment block (Python, numpy, BLAS thread
+variables, CPUs available, stage workers). Reruns with identical inputs
+and seed reproduce the output digests exactly, whatever the environment.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, replace
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as dat
 from . import fir
 from . import model as mdl
@@ -32,6 +36,7 @@ FRONTEND_ALIASES = {"baseline": "external_fir", "tconv": "tconv_free",
                     "lp": "tconv_lp", "zp": "tconv_zp"}
 INIT_ALIASES = {"fir": "fir_bank", "random": "random", "zeros": "zeros"}
 RESPONSE_POINTS = 512       # --points default of design, response and analyze
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path: Path) -> str:
@@ -52,9 +57,21 @@ def _write_manifest(out_dir: Path, args_list: list[str], seed,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "environment": _environment(),
     }
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def _environment() -> dict:
+    """What a run's speed depends on, not its artifacts: Python and numpy
+    versions, the BLAS thread variables, the CPUs this process may use and
+    the stage workers of the grouped branch convolutions (the stage nodes
+    split by channel pair and may use more, up to the CPUs)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "cpus_available": ad.available_cpus(),
+            "stage_workers": ad.stage_workers(mdl.NetworkConfig.bands)}
 
 
 def _out_dir(path: str) -> Path:

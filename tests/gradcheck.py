@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from pcgnet.autodiff import Tensor, backward
 
 
 def numeric_gradient(f: Callable[[], Tensor], param: Tensor, h: float = 1e-5,

@@ -22,11 +22,11 @@ from pcgnet.data import segment_cycles, synth_pcg
 from pcgnet.dsp import Waveform, resample
 from pcgnet.fir import FirFilter, apply_fir, default_bank, linear_phase_deviation
 from pcgnet.frontend import TConvLayer
-from pcgnet.gradcheck import analytic_gradient, numeric_gradient, relative_error
 from pcgnet.model import NetworkConfig, build
 from pcgnet.training import AdamState, TrainConfig, adam_step, cross_fold_summary
 
 from _reference import REFERENCE_ROWS, std_tolerance
+from gradcheck import analytic_gradient, numeric_gradient, relative_error
 from test_autodiff import conv_oracle
 
 

@@ -1,10 +1,16 @@
+import os
+import signal
+import sys
+import time
+
 import numpy as np
 import pytest
 
 import pcgnet.autodiff as ad
 from pcgnet.dsp import Waveform
 from pcgnet.fir import FirFilter, apply_fir
-from pcgnet.gradcheck import analytic_gradient, numeric_gradient, relative_error
+
+from gradcheck import analytic_gradient, numeric_gradient, relative_error
 
 
 def conv_oracle(x, kern, padding):
@@ -407,11 +413,11 @@ class TestBnReluDropoutPool:
 
     @staticmethod
     def _inputs(length, seed=41, channels=4):
-        """x, gamma (two channels negative), beta, folded bias and running
+        """x, gamma (every other channel negative), beta, folded bias and running
         statistics away from their defaults."""
         rng = np.random.default_rng(seed)
         x = ad.Tensor(rng.normal(size=(5, channels, length)), requires_grad=True)
-        gamma = ad.Tensor(rng.normal(1.0, 0.3, size=channels) * np.tile([1, -1], channels // 2),
+        gamma = ad.Tensor(rng.normal(1.0, 0.3, size=channels) * np.resize([1.0, -1.0], channels),
                           requires_grad=True)
         beta = ad.Tensor(rng.normal(size=channels), requires_grad=True)
         bias = ad.Tensor(rng.normal(size=channels), requires_grad=True)
@@ -465,6 +471,12 @@ class TestBnReluDropoutPool:
     def test_matches_composed_ops(self, train, pool, length):
         # two of the four channels have gamma < 0: inference pools them by min
         self._check_against_composed(*self._inputs(length), train, pool)
+
+    @pytest.mark.parametrize("channels", [1, 3, 5])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_odd_channel_counts(self, train, channels):
+        # the last channel pair takes the odd channel; one channel is a pair
+        self._check_against_composed(*self._inputs(13, channels=channels), train, 2)
 
     @pytest.mark.parametrize("pool", [2, 3, 4, 5])
     @pytest.mark.parametrize("train", [True, False])
@@ -528,6 +540,156 @@ class TestBnReluDropoutPool:
         for pool in (0, 11):
             with pytest.raises(ValueError):
                 ad.bn_relu_dropout_pool(x, gamma, beta, st, True, 0.5, rng, pool)
+
+
+class TestStageWorkers:
+    """Grouped conv1d splits its work by channel groups and the fused stage
+    node by channel pairs across the stage workers; every result must be
+    bitwise the same for any worker count."""
+
+    CHUNKS = (1, 2, 3, 4)
+
+    @staticmethod
+    def _force(monkeypatch, n):
+        """n stage workers (capped at the group count), whatever the host."""
+        monkeypatch.setattr(ad, "available_cpus", lambda: n)
+
+    def _per_chunk_count(self, monkeypatch, run):
+        """run() under each chunk count, with thread switches forced often;
+        asserts every array it returns is bitwise equal to the one-chunk
+        result."""
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in self.CHUNKS:
+                self._force(monkeypatch, n)
+                results.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results[1:]:
+            self._assert_bitwise_equal(got, results[0])
+        return results[0]
+
+    @staticmethod
+    def _assert_bitwise_equal(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_worker_count_capped_at_parts(self, monkeypatch):
+        self._force(monkeypatch, 2)
+        assert ad.stage_workers(4) == 2 and ad.stage_workers(1) == 1
+        self._force(monkeypatch, 8)
+        assert ad.stage_workers(4) == 4
+
+    def test_channel_pairs_cover_every_channel(self):
+        assert ad._channel_blocks(0, 3, 7) == [(0, 2), (2, 4), (4, 7)]
+        assert ad._channel_blocks(1, 2, 6) == [(2, 4)]
+        assert ad._channel_blocks(0, 1, 1) == [(0, 1)]
+
+    def test_every_chunk_finishes_and_errors_reach_the_caller(self, monkeypatch):
+        self._force(monkeypatch, 4)
+        done = []
+
+        def work(g0, g1):
+            time.sleep(0.01 * (4 - g0))   # the pool's chunks end last
+            done.append((g0, g1))
+            if g0 == 3:
+                raise RuntimeError("chunk 3")
+
+        with pytest.raises(RuntimeError, match="chunk 3"):
+            ad._run_split(work, 4)
+        assert sorted(done) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_its_own_pool(self, monkeypatch):
+        # the child inherits the pool object but none of its threads; a
+        # task queued there would never run
+        self._force(monkeypatch, 2)
+        x = ad.tensor(np.random.default_rng(50).normal(size=(2, 4, 12)))
+        kern = ad.tensor(np.random.default_rng(51).normal(size=(8, 1, 3)))
+        want = ad.conv1d(x, kern, "valid", groups=4).data
+        pid = os.fork()
+        if pid == 0:
+            got = ad.conv1d(x, kern, "valid", groups=4).data
+            os._exit(0 if np.array_equal(got, want) else 1)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("ci,co", [(1, 8), (8, 4)])
+    def test_grouped_conv_is_chunk_invariant(self, monkeypatch, padding, ci, co):
+        groups = 4
+        rng = np.random.default_rng(10 * ci + co)
+        xv = rng.normal(size=(3, groups * ci, 37))
+        kv = rng.normal(size=(groups * co, ci, 5))
+        coef = rng.normal(size=(3, groups * co, 37 if padding == "same" else 33))
+
+        def run():
+            x = ad.Tensor(xv, requires_grad=True)
+            kern = ad.Tensor(kv, requires_grad=True)
+            y = ad.conv1d(x, kern, padding, groups=groups)
+            ad.backward(ad.tsum(ad.mul(y, ad.tensor(coef))))
+            return y.data, x.grad, kern.grad
+
+        whole = self._per_chunk_count(monkeypatch, run)
+        # the batch in blocks of one row each, not in one block
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+        self._assert_bitwise_equal(self._per_chunk_count(monkeypatch, run), whole)
+
+    @pytest.mark.parametrize("channels", [8, 7])
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_stage_node_is_chunk_invariant(self, monkeypatch, train, rate, pool, channels):
+        x, gamma, beta, bias, st = TestBnReluDropoutPool._inputs(23, seed=47,
+                                                                 channels=channels)
+        coef = np.random.default_rng(48).normal(size=(5, channels, 23 // pool))
+
+        def run():
+            state = st.copy()
+            for p in (x, gamma, beta, bias):
+                p.zero_grad()
+            out = ad.bn_relu_dropout_pool(x, gamma, beta, state, train, rate,
+                                          np.random.default_rng(8), pool, bias=bias)
+            ad.backward(ad.tsum(ad.mul(out, ad.tensor(coef))))
+            grads = [p.grad for p in (x, gamma, beta, bias) if p.grad is not None]
+            assert len(grads) == (3 if train else 4)
+            return (out.data, *grads, state.mean, state.var)
+
+        self._per_chunk_count(monkeypatch, run)
+
+    def test_gradients_match_finite_differences_on_two_chunks(self, monkeypatch):
+        self._force(monkeypatch, 2)
+        rng = np.random.default_rng(49)
+        x = ad.Tensor(rng.normal(size=(3, 4, 16)), requires_grad=True)
+        kern = ad.Tensor(rng.normal(size=(8, 1, 5)), requires_grad=True)
+        gamma = ad.Tensor(rng.normal(1.0, 0.3, size=8) * np.tile([1, -1], 4),
+                          requires_grad=True)
+        beta = ad.Tensor(rng.normal(size=8), requires_grad=True)
+        bias = ad.Tensor(rng.normal(size=8), requires_grad=True)
+        st = ad.BatchNormState(8)
+        coef = rng.normal(size=(3, 8, 6))
+        for train in (True, False):
+            def f():
+                h = ad.conv1d(x, kern, "valid", groups=4)
+                y = ad.bn_relu_dropout_pool(h, gamma, beta, st.copy(), train, 0.5,
+                                            np.random.default_rng(9), 2, bias=bias)
+                return ad.tsum(ad.mul(y, ad.tensor(coef)))
+
+            params = (x, kern, gamma, beta) if train else (x, kern, gamma, beta, bias)
+            for p in params:
+                num = numeric_gradient(f, p)
+                (ana,) = analytic_gradient(f, [p])
+                assert np.count_nonzero(ana) > 0
+                assert relative_error(ana, num) < 1e-4
 
 
 class TestNoGrad:

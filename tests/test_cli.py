@@ -375,25 +375,57 @@ class TestTrainEval:
             (h.epoch, h.train_loss, h.val_macc_pct, h.val_cycle_acc) for h in history]
         assert len(rows) == 2
 
+    @staticmethod
+    def train_and_eval_in_subprocess(pipeline, run, **popen):
+        """lp train + eval of fold 0 in fresh `python -m pcgnet.cli`
+        processes; the digests of checkpoint, history and eval.csv."""
+        common = ["--cycles", str(pipeline / "store" / "cycles.bin"),
+                  "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0"]
+        for argv in (["train", *common, "--frontend", "lp", "--epochs", "1",
+                      "--batch-size", "16", "--seed", "3", "--out", str(run)],
+                     ["eval", *common, "--ckpt", str(run / "checkpoint.ckpt"),
+                      "--out", str(run / "ev")]):
+            done = subprocess.run([sys.executable, "-m", "pcgnet.cli", *argv],
+                                  capture_output=True, text=True, timeout=300, **popen)
+            assert done.returncode == 0, done.stderr
+        return [digest(run / name) for name in ("checkpoint.ckpt", "history.csv", "ev/eval.csv")]
+
     def test_artifacts_equal_across_blas_thread_counts(self, pipeline, tmp_path):
         # train and eval in fresh processes, so the thread count is set
         # before numpy loads its BLAS
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            run = tmp_path / f"t{threads}"
-            common = ["--cycles", str(pipeline / "store" / "cycles.bin"),
-                      "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0"]
-            for argv in (["train", *common, "--frontend", "lp", "--epochs", "1",
-                          "--batch-size", "16", "--seed", "3", "--out", str(run)],
-                         ["eval", *common, "--ckpt", str(run / "checkpoint.ckpt"),
-                          "--out", str(run / "ev")]):
-                done = subprocess.run([sys.executable, "-m", "pcgnet.cli", *argv], env=env,
-                                      capture_output=True, text=True, timeout=300)
-                assert done.returncode == 0, done.stderr
-            digests.append([digest(run / name) for name in
-                            ("checkpoint.ckpt", "history.csv", "ev/eval.csv")])
+            digests.append(self.train_and_eval_in_subprocess(
+                pipeline, tmp_path / f"t{threads}", env=env))
         assert digests[0] == digests[1]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_artifacts_equal_on_one_cpu_and_on_all(self, pipeline, tmp_path):
+        # preexec_fn pins the child to one CPU between fork and exec, so it
+        # runs one stage worker; this test process keeps its CPUs
+        one_cpu = min(os.sched_getaffinity(0))
+        pinned = self.train_and_eval_in_subprocess(
+            pipeline, tmp_path / "one", preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu}))
+        free = self.train_and_eval_in_subprocess(pipeline, tmp_path / "all")
+        assert pinned == free
+        for run, cpus in (("one", 1), ("all", len(os.sched_getaffinity(0)))):
+            env = json.loads((tmp_path / run / "manifest.json").read_text())["environment"]
+            assert env["cpus_available"] == cpus
+            assert env["stage_workers"] == min(cpus, 4)
+
+    def test_manifest_records_the_environment(self, pipeline, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
+                     "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0",
+                     "--frontend", "lp", "--epochs", "0", "--out", str(run)]) == 0
+        env = json.loads((run / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas_threads", "cpus_available",
+                            "stage_workers"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+        assert env["cpus_available"] >= env["stage_workers"] >= 1
 
     def test_invalid_combo_is_usage_error(self, pipeline, tmp_path):
         assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),

@@ -5,8 +5,9 @@ import pcgnet.autodiff as ad
 from pcgnet.dsp import Waveform
 from pcgnet.fir import apply_fir, default_bank
 from pcgnet.frontend import TConvLayer, init_kernel
-from pcgnet.gradcheck import analytic_gradient, numeric_gradient, relative_error
 from pcgnet.model import NetworkConfig, _he_normal, build
+
+from gradcheck import analytic_gradient, numeric_gradient, relative_error
 
 
 def center_delta_kernel(bands=4, k_len=61):

@@ -41,7 +41,12 @@ def subtree_names(spans, root_name):
     return names
 
 
-def test_traced_train_and_evaluate():
+def test_traced_train_and_evaluate(monkeypatch):
+    # two stage workers even on a one-CPU host: the grouped convs and stage
+    # nodes then run chunks on a pool thread, and check_nesting below shows
+    # that no worker thread ever enters a traced op
+    monkeypatch.setattr(ad, "available_cpus", lambda: 2)
+    assert ad.stage_workers(4) == 2
     spans_mod = load_spans()
     store = toy_store(n_recordings=8, cycles_per=3, length=120)
     folds = toy_folds(store)
