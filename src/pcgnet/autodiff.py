@@ -37,10 +37,21 @@ gradients and running statistics are bitwise the same for any worker
 count. Within its chunk the direct conv path works through the batch in
 cache-sized blocks of rows, rebuilding its window matrices in backward
 instead of keeping them, and the stage node works one pair at a time.
+
+BLAS on the calling thread: inside blas_on_calling_thread() OpenBLAS runs
+every product on the thread that calls it, whatever OPENBLAS_NUM_THREADS
+says; the CLI runs every command inside it. A product large enough to use
+OpenBLAS's own helper threads (the head's dense layer is) leaves them
+spinning for about 0.1 s afterwards, holding a core while the stage
+workers need it, so the stage workers stay the only source of
+parallelism. Results do not depend on the BLAS thread count. Without an
+OpenBLAS thread API (other BLAS builds) the block changes nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -219,6 +230,67 @@ def _run_split(work, parts: int) -> None:
         wait(futures)   # no chunk may outlive the arrays it writes
     for f in futures:
         f.result()
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy ships with,
+# newest first: scipy-openblas (numpy 2), 64-bit-integer and plain builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_api():
+    """(get, set) of the thread count of the OpenBLAS that numpy links, or
+    None if numpy's BLAS has no such API. dlsym on numpy's core extension
+    searches the libraries it depends on, the bundled OpenBLAS among them."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_threads_in_use() -> int | None:
+    """Threads OpenBLAS would run a large product on now, or None
+    without an OpenBLAS thread API."""
+    api = _openblas_thread_api()
+    return None if api is None else api[0]()
+
+
+@contextmanager
+def blas_on_calling_thread():
+    """Run OpenBLAS on one thread inside the block and restore the previous
+    count on exit, error or not. Does nothing without an OpenBLAS thread
+    API."""
+    api = _openblas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +819,15 @@ def byte_keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     byte >= 256*rate, so each element is kept with probability exactly
     1 - rate. The rate must be a multiple of 1/256."""
     check_dropout_rate(rate, in_bytes=True)
-    n = math.prod(shape)
-    return (np.frombuffer(rng.bytes(n), np.uint8) >= int(rate * 256)).reshape(shape)
+    return (_random_bytes(rng, math.prod(shape)) >= int(rate * 256)).reshape(shape)
+
+
+def _random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """rng.bytes(n) as a uint8 array, without its copies: the same uint32
+    draw read as little-endian bytes, leaving rng in the same state (its
+    word count, (n - 1) // 4 + 1, divides in C, so n = 0 draws one word)."""
+    words = rng.integers(0, 2**32, size=max(n - 1, 0) // 4 + 1, dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:n]
 
 
 def _pool_views(v: np.ndarray, pool: int) -> list[np.ndarray]:

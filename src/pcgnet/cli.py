@@ -4,8 +4,14 @@ fold creation, training, evaluation, reporting, and checkpoint analysis.
 Every command writes its artifacts under --out and drops a manifest.json
 recording the command line, seed, config hash, and sha256 digests of all
 inputs and outputs, with an environment block (Python, numpy, BLAS thread
-variables, CPUs available, stage workers). Reruns with identical inputs
-and seed reproduce the output digests exactly, whatever the environment.
+variables and the BLAS threads in use, CPUs available, stage workers).
+Reruns with identical inputs and seed reproduce the output digests
+exactly, whatever the environment.
+
+Every command runs BLAS on the calling thread, whatever
+OPENBLAS_NUM_THREADS says (autodiff.blas_on_calling_thread): OpenBLAS's
+helper threads spin after each large product and would take a core from
+the stage workers. The previous thread count is back when main returns.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
 """
@@ -65,11 +71,13 @@ def _write_manifest(out_dir: Path, args_list: list[str], seed,
 
 def _environment() -> dict:
     """What a run's speed depends on, not its artifacts: Python and numpy
-    versions, the BLAS thread variables, the CPUs this process may use and
-    the stage workers of the grouped branch convolutions (the stage nodes
-    split by channel pair and may use more, up to the CPUs)."""
+    versions, the BLAS thread variables, the threads OpenBLAS runs on inside
+    the command (None without its thread API), the CPUs this process may use
+    and the stage workers of the grouped branch convolutions (the stage
+    nodes split by channel pair and may use more, up to the CPUs)."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "blas_threads_in_use": ad.blas_threads_in_use(),
             "cpus_available": ad.available_cpus(),
             "stage_workers": ad.stage_workers(mdl.NetworkConfig.bands)}
 
@@ -530,7 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, argv)
+        with ad.blas_on_calling_thread():
+            return args.fn(args, argv)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

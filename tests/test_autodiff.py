@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import pcgnet.autodiff as ad
+from pcgnet.cli import main
 from pcgnet.dsp import Waveform
 from pcgnet.fir import FirFilter, apply_fir
 
@@ -531,6 +533,16 @@ class TestBnReluDropoutPool:
         assert np.array_equal(keep.reshape(-1), again)
         assert ad.byte_keep_mask(np.random.default_rng(0), (100,), 0.0).all()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 5_111_808])
+    def test_random_bytes_are_rng_bytes(self, n):
+        # same bytes and same generator state after, for every n % 4 and
+        # the stage-1 mask size at batch 64
+        rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+        drawn = ad._random_bytes(rng, n)
+        assert drawn.dtype == np.uint8 and drawn.shape == (n,)
+        assert drawn.tobytes() == twin.bytes(n)
+        assert rng.bytes(9) == twin.bytes(9)
+
     def test_rejects_bad_arguments(self):
         x, gamma, beta, bias, st = self._inputs(10)
         rng = np.random.default_rng(0)
@@ -690,6 +702,72 @@ class TestStageWorkers:
                 (ana,) = analytic_gradient(f, [p])
                 assert np.count_nonzero(ana) > 0
                 assert relative_error(ana, num) < 1e-4
+
+
+needs_openblas = pytest.mark.skipif(ad.blas_threads_in_use() is None,
+                                    reason="numpy's BLAS has no OpenBLAS thread API")
+
+
+class TestBlasOnCallingThread:
+    """blas_on_calling_thread caps OpenBLAS at one thread inside the block
+    and restores the count it found, on every way out."""
+
+    @pytest.fixture
+    def two_threads(self):
+        """OpenBLAS at 2 threads for the test, then at the count it had."""
+        _, set_threads = ad._openblas_thread_api()
+        before = ad.blas_threads_in_use()
+        set_threads(2)
+        try:
+            yield
+        finally:
+            set_threads(before)
+
+    @needs_openblas
+    def test_one_thread_inside_and_the_count_back_after(self, two_threads):
+        with ad.blas_on_calling_thread():
+            assert ad.blas_threads_in_use() == 1
+        assert ad.blas_threads_in_use() == 2
+
+    @needs_openblas
+    def test_count_back_after_an_error(self, two_threads):
+        with pytest.raises(RuntimeError):
+            with ad.blas_on_calling_thread():
+                assert ad.blas_threads_in_use() == 1
+                raise RuntimeError("boom")
+        assert ad.blas_threads_in_use() == 2
+
+    @needs_openblas
+    def test_nesting_restores_the_outer_count(self, two_threads):
+        with ad.blas_on_calling_thread():
+            with ad.blas_on_calling_thread():
+                assert ad.blas_threads_in_use() == 1
+            assert ad.blas_threads_in_use() == 1
+        assert ad.blas_threads_in_use() == 2
+
+    def test_no_op_without_an_openblas_api(self, monkeypatch, tmp_path):
+        before = ad.blas_threads_in_use()
+        monkeypatch.setattr(ad, "_openblas_thread_api", lambda: None)
+        assert ad.blas_threads_in_use() is None
+        with ad.blas_on_calling_thread():
+            assert ad.blas_threads_in_use() is None
+        assert main(["design", "--bank", "--out", str(tmp_path)]) == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env["blas_threads_in_use"] is None
+        monkeypatch.undo()
+        assert ad.blas_threads_in_use() == before
+
+    @needs_openblas
+    def test_commands_leave_the_process_count_unchanged(self, two_threads, tmp_path):
+        assert main(["design", "--lo", "45", "--hi", "80", "--order", "60",
+                     "--rate", "1000", "--out", str(tmp_path / "d")]) == 0
+        env = json.loads((tmp_path / "d" / "manifest.json").read_text())["environment"]
+        assert env["blas_threads_in_use"] == 1
+        assert ad.blas_threads_in_use() == 2
+        (tmp_path / "bad.json").write_text("{")
+        assert main(["response", "--filter", str(tmp_path / "bad.json"),
+                     "--out", str(tmp_path / "r")]) == 3
+        assert ad.blas_threads_in_use() == 2
 
 
 class TestNoGrad:

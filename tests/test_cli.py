@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcgnet import autodiff as ad
 from pcgnet import training as trn
 from pcgnet.cli import main
 from pcgnet.data import (MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest,
@@ -399,6 +400,11 @@ class TestTrainEval:
             digests.append(self.train_and_eval_in_subprocess(
                 pipeline, tmp_path / f"t{threads}", env=env))
         assert digests[0] == digests[1]
+        if ad.blas_threads_in_use() is not None:
+            # every command caps OpenBLAS at one thread, whatever the variable says
+            for run in ("t1", "t2", "t1/ev", "t2/ev"):
+                manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+                assert manifest["environment"]["blas_threads_in_use"] == 1
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_artifacts_equal_on_one_cpu_and_on_all(self, pipeline, tmp_path):
@@ -420,12 +426,13 @@ class TestTrainEval:
                      "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0",
                      "--frontend", "lp", "--epochs", "0", "--out", str(run)]) == 0
         env = json.loads((run / "manifest.json").read_text())["environment"]
-        assert set(env) == {"python", "numpy", "blas_threads", "cpus_available",
-                            "stage_workers"}
+        assert set(env) == {"python", "numpy", "blas_threads", "blas_threads_in_use",
+                            "cpus_available", "stage_workers"}
         assert env["numpy"] == np.__version__
         assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                             "MKL_NUM_THREADS"}
         assert env["cpus_available"] >= env["stage_workers"] >= 1
+        assert env["blas_threads_in_use"] == (None if ad.blas_threads_in_use() is None else 1)
 
     def test_invalid_combo_is_usage_error(self, pipeline, tmp_path):
         assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
