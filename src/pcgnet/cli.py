@@ -1,11 +1,14 @@
 """Command-line pipeline: filter design, data synthesis and ingestion,
 fold creation, training, evaluation, reporting, and checkpoint analysis.
 
-Every command writes its artifacts under --out and drops a manifest.json
-recording the command line, seed, config hash, and sha256 digests of all
-inputs and outputs, with an environment block (Python, numpy, BLAS thread
-variables and the BLAS threads in use, CPUs available, stage workers).
-Reruns with identical inputs and seed reproduce the output digests
+Every command writes its artifacts under --out; `main` then drops a
+manifest.json there recording the command line, seed, config hash (train),
+the files the command read and wrote, each with the sha256 of the bytes it
+parsed or wrote (data.logged_io), its wall time (`wall_s`) and an environment
+block (Python, numpy, BLAS thread variables and the BLAS threads in use, CPUs
+available, stage workers). A command is `fn(args, out)`: it reads through
+data.read_input, writes through data.write_output and knows nothing of the
+manifest. Reruns with identical inputs and seed reproduce the output digests
 exactly, whatever the environment.
 
 Every command runs BLAS on the calling thread, whatever
@@ -13,7 +16,8 @@ OPENBLAS_NUM_THREADS says (autodiff.blas_on_calling_thread): OpenBLAS's
 helper threads spin after each large product and would take a core from
 the stage workers. The previous thread count is back when main returns.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical abort.
+Exit codes: 0 success, 2 usage error, 3 data error (an input that cannot
+be read or an output that cannot be written included), 4 numerical abort.
 """
 
 from __future__ import annotations
@@ -45,30 +49,6 @@ RESPONSE_POINTS = 512       # --points default of design, response and analyze
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, args_list: list[str], seed,
-                    inputs: list[Path], outputs: list[Path], config=None) -> None:
-    manifest = {
-        "command": args_list,
-        "seed": seed,
-        "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True).encode()).hexdigest() if config else None,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "environment": _environment(),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
 def _environment() -> dict:
     """What a run's speed depends on, not its artifacts: Python and numpy
     versions, the BLAS thread variables, the threads OpenBLAS runs on inside
@@ -82,12 +62,6 @@ def _environment() -> dict:
             "stage_workers": ad.stage_workers(mdl.NetworkConfig.bands)}
 
 
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_response_csv(path: Path, filt: fir.FirFilter, n_points: int) -> None:
     dat.write_csv(path, ["freq_hz", "magnitude_db", "phase_rad"],
                   zip(*fir.frequency_response(filt, n_points)))
@@ -96,62 +70,36 @@ def _write_response_csv(path: Path, filt: fir.FirFilter, n_points: int) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_design(args, argv) -> int:
-    out = _out_dir(args.out)
-    outputs = []
+def cmd_design(args, out: Path) -> None:
     if args.bank:
         bank = fir.default_bank(args.rate, args.order)
-        path = out / "bank.json"
-        path.write_text(fir.bank_to_json(bank))
-        outputs.append(path)
+        dat.write_output(out / "bank.json", fir.bank_to_json(bank))
         for i, f in enumerate(bank.filters):
-            rpath = out / f"response_band{i}.csv"
-            _write_response_csv(rpath, f, args.points)
-            outputs.append(rpath)
+            _write_response_csv(out / f"response_band{i}.csv", f, args.points)
     else:
         if args.lo is None or args.hi is None:
             raise ValueError("single-filter design needs --lo and --hi (or use --bank)")
         filt = fir.design_bandpass(args.lo, args.hi, args.order, args.rate)
-        path = out / "filter.json"
-        path.write_text(fir.filter_to_json(filt))
-        rpath = out / "response.csv"
-        _write_response_csv(rpath, filt, args.points)
-        outputs.extend([path, rpath])
-    _write_manifest(out, argv, None, [], outputs)
-    return 0
+        dat.write_output(out / "filter.json", fir.filter_to_json(filt))
+        _write_response_csv(out / "response.csv", filt, args.points)
 
 
-def cmd_response(args, argv) -> int:
-    out = _out_dir(args.out)
+def cmd_response(args, out: Path) -> None:
     filt = fir.filter_from_json(dat.read_input(args.filter))
-    rpath = out / "response.csv"
-    _write_response_csv(rpath, filt, args.points)
-    _write_manifest(out, argv, None, [Path(args.filter)], [rpath])
-    return 0
+    _write_response_csv(out / "response.csv", filt, args.points)
 
 
-def cmd_synth(args, argv) -> int:
-    out = _out_dir(args.out)
-    wav_dir = out / "wav"
-    wav_dir.mkdir(exist_ok=True)
+def cmd_synth(args, out: Path) -> None:
     recs = dat.synth_pcg(args.n, args.abnormal_fraction, args.seed)
-    outputs = []
     for rec in recs:
-        path = wav_dir / f"{rec.meta.id}.wav"
-        dat.write_wav(path, rec.waveform)
-        outputs.append(path)
-    labels = out / "labels.csv"
-    dat.write_label_manifest(labels, [r.meta for r in recs])
-    outputs.append(labels)
+        dat.write_wav(out / "wav" / f"{rec.meta.id}.wav", rec.waveform)
+    dat.write_label_manifest(out / "labels.csv", [r.meta for r in recs])
     n_abn = sum(r.meta.label for r in recs)
     print(f"synthesized {len(recs)} recordings: {len(recs) - n_abn} normal, "
           f"{n_abn} abnormal")
-    _write_manifest(out, argv, args.seed, [], outputs)
-    return 0
 
 
-def cmd_ingest(args, argv) -> int:
-    out = _out_dir(args.out)
+def cmd_ingest(args, out: Path) -> None:
     labels = dat.read_label_manifest(args.labels)
     wav_dir = Path(args.wav_dir)
     wavs = sorted(wav_dir.glob("*.wav"))
@@ -177,36 +125,27 @@ def cmd_ingest(args, argv) -> int:
     for rid, reason in skipped:
         print(f"skipped {rid}: {reason}", file=sys.stderr)
     store = dat.CycleStore.from_cycles(cycles)
-    store_path = out / "cycles.bin"
-    store.save(store_path)
+    store.save(out / "cycles.bin")
     print(f"ingested {len(wavs) - len(skipped)}/{len(wavs)} recordings "
           f"-> {len(store)} cycles")
-    _write_manifest(out, argv, None, [Path(args.labels), *wavs], [store_path])
-    return 0
 
 
-def cmd_folds(args, argv) -> int:
-    out = _out_dir(args.out)
+def cmd_folds(args, out: Path) -> None:
     store = dat.CycleStore.load(args.cycles)
     rec_labels = store.recording_labels()
     metas = [dat.RecordingMeta(id=r, label=l) for r, l in sorted(rec_labels.items())]
     pinned = None
-    inputs = [Path(args.cycles)]
     if args.pin_fold0:
         text = dat.read_text(args.pin_fold0)
         pinned = [line.strip() for line in text.splitlines() if line.strip()]
-        inputs.append(Path(args.pin_fold0))
     assignment = dat.make_folds(metas, args.seed, pinned_fold0=pinned)
-    path = out / "folds.csv"
-    dat.write_fold_manifest(path, assignment)
+    dat.write_fold_manifest(out / "folds.csv", assignment)
     print("fold  normal  abnormal")
     for fold in (0, 1, 2, 3, dat.TRAIN_ONLY_FOLD):
         ids = [r for r, f in assignment.items() if f == fold]
         n_abn = sum(rec_labels[r] for r in ids)
         tag = str(fold) if fold != dat.TRAIN_ONLY_FOLD else "train-only"
         print(f"{tag:>10}  {len(ids) - n_abn:6d}  {n_abn:8d}")
-    _write_manifest(out, argv, args.seed, inputs, [path])
-    return 0
 
 
 # --config keys, by the config object each one sets
@@ -262,9 +201,9 @@ def config_name(cfg: mdl.NetworkConfig) -> str:
     return f"{kind}-{init}"
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args, out: Path) -> dict:
+    """Train one fold; returns the config the manifest hashes."""
     overrides = _read_config(args.config)
-    out = _out_dir(args.out)
     train_cfg = _train_config(args, overrides)
     store = dat.CycleStore.load(args.cycles)
     # the network's input length is the store's cycle length
@@ -272,42 +211,30 @@ def cmd_train(args, argv) -> int:
     folds = dat.read_fold_manifest(args.folds)
     net = mdl.build(net_cfg)
     net, history = trn.train_fold(net, store, folds, args.fold, train_cfg)
-    ckpt = out / "checkpoint.ckpt"
-    mdl.save(net, str(ckpt))
-    hist_path = out / "history.csv"
-    dat.write_csv(hist_path, ["epoch", "train_loss", "val_macc_pct", "val_cycle_acc"],
+    mdl.save(net, str(out / "checkpoint.ckpt"))
+    dat.write_csv(out / "history.csv", ["epoch", "train_loss", "val_macc_pct", "val_cycle_acc"],
                   ([h.epoch, h.train_loss, h.val_macc_pct, h.val_cycle_acc] for h in history))
     best = max((h.val_macc_pct for h in history), default=float("nan"))
     print(f"{config_name(net_cfg)} fold {args.fold}: best val Macc "
           f"{trn.round2(best) if history else 'n/a'}")
-    inputs = [Path(args.cycles), Path(args.folds)]
-    if args.config:
-        inputs.append(Path(args.config))
-    _write_manifest(out, argv, args.seed, inputs, [ckpt, hist_path],
-                    config={"network": asdict(net_cfg), "train": asdict(train_cfg)})
-    return 0
+    return {"network": asdict(net_cfg), "train": asdict(train_cfg)}
 
 
 EVAL_RATES = ("sensitivity_pct", "specificity_pct", "macc_pct")
 
 
-def cmd_eval(args, argv) -> int:
-    out = _out_dir(args.out)
+def cmd_eval(args, out: Path) -> None:
     net = mdl.load(args.ckpt)
     store = dat.CycleStore.load(args.cycles)
     folds = dat.read_fold_manifest(args.folds)
     _, val_idx = trn.split_fold(store, folds, args.fold)
     report = trn.evaluate(net, store, val_idx, fold=args.fold)
     name = args.config_name or config_name(net.config)
-    path = out / "eval.csv"
-    dat.write_csv(path, ["config", "fold", "tp", "tn", "fp", "fn", *EVAL_RATES],
+    dat.write_csv(out / "eval.csv", ["config", "fold", "tp", "tn", "fp", "fn", *EVAL_RATES],
                   [[name, report.fold, report.tp, report.tn, report.fp, report.fn,
                     report.sensitivity_pct, report.specificity_pct, report.macc_pct]])
     print(f"{name} fold {args.fold}: sens {trn.round2(report.sensitivity_pct)} "
           f"spec {trn.round2(report.specificity_pct)} Macc {trn.round2(report.macc_pct)}")
-    _write_manifest(out, argv, None,
-                    [Path(args.ckpt), Path(args.cycles), Path(args.folds)], [path])
-    return 0
 
 
 def _read_eval_rows(path: Path) -> list[dict]:
@@ -333,8 +260,7 @@ def _read_eval_rows(path: Path) -> list[dict]:
     return out
 
 
-def cmd_report(args, argv) -> int:
-    out = _out_dir(args.out)
+def cmd_report(args, out: Path) -> None:
     runs = Path(args.runs)
     eval_files = sorted(runs.rglob("eval*.csv"))
     if not eval_files:
@@ -367,40 +293,29 @@ def cmd_report(args, argv) -> int:
         for i, r in enumerate(folds):
             rows.append([name, r["fold"], trn.round2(sens[i]), trn.round2(spec[i]),
                          trn.round2(macc[i]), *(crossfold if i == 0 else [""] * 6)])
-    report_path = out / "report.csv"
-    dat.write_csv(report_path, ["config", "fold", *EVAL_RATES,
-                                "crossfold_sens_mean", "crossfold_sens_std",
-                                "crossfold_spec_mean", "crossfold_spec_std",
-                                "crossfold_macc_mean", "crossfold_macc_std"], rows)
-    json_path = out / "report.json"
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    dat.write_csv(out / "report.csv", ["config", "fold", *EVAL_RATES,
+                                       "crossfold_sens_mean", "crossfold_sens_std",
+                                       "crossfold_spec_mean", "crossfold_spec_std",
+                                       "crossfold_macc_mean", "crossfold_macc_std"], rows)
+    dat.write_output(out / "report.json", json.dumps(summary, indent=2, sort_keys=True))
     for name in sorted(summary):
         s = summary[name]["crossfold"]["macc"]
         print(f"{name}: cross-fold Macc {trn.round2(s['mean'])} (+/-{trn.round2(s['std'])})")
-    _write_manifest(out, argv, None, eval_files, [report_path, json_path])
-    return 0
 
 
-def cmd_analyze(args, argv) -> int:
-    out = _out_dir(args.out)
+def cmd_analyze(args, out: Path) -> None:
     net = mdl.load(args.ckpt)
-    outputs = []
     summary: dict = {"config": asdict(net.config), "bands": []}
     if net.frontend is not None:
         kern = net.frontend.materialized_kernel().data
-        kpath = out / "kernels.csv"
-        dat.write_csv(kpath, ["band", "tap", "value"],
+        dat.write_csv(out / "kernels.csv", ["band", "tap", "value"],
                       ([b, i, v] for b, taps in enumerate(kern[:, 0])
                        for i, v in enumerate(taps)))
-        outputs.append(kpath)
         for b in range(kern.shape[0]):
             filt = fir.FirFilter(coeffs=kern[b, 0], order=kern.shape[2] - 1,
                                  band_lo_hz=0.0, band_hi_hz=0.0,
                                  design_rate_hz=dat.PIPELINE_RATE_HZ)
-            rpath = out / f"response_band{b}.csv"
-            _write_response_csv(rpath, filt, args.points)
-            outputs.append(rpath)
+            _write_response_csv(out / f"response_band{b}.csv", filt, args.points)
             delay, resid = fir.linear_phase_deviation(filt)
             summary["bands"].append({
                 "band": b,
@@ -414,16 +329,9 @@ def cmd_analyze(args, argv) -> int:
             if profs is None:
                 continue
             freq, avg = profs
-            ppath = out / f"ltsa_{tag}.csv"
-            dat.write_csv(ppath, ["freq_hz", "avg_log_magnitude_db"], zip(freq, avg))
-            outputs.append(ppath)
-    spath = out / "summary.json"
-    with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    outputs.append(spath)
-    inputs = [Path(args.ckpt)] + ([Path(args.cycles)] if args.cycles else [])
-    _write_manifest(out, argv, None, inputs, outputs)
-    return 0
+            dat.write_csv(out / f"ltsa_{tag}.csv", ["freq_hz", "avg_log_magnitude_db"],
+                          zip(freq, avg))
+    dat.write_output(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True))
 
 
 def _label_ltsa(store: dat.CycleStore, label: int, window_len: int = 1024,
@@ -499,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one fold")
     t.add_argument("--cycles", required=True)
     t.add_argument("--folds", required=True)
-    t.add_argument("--fold", type=int, required=True)
+    t.add_argument("--fold", type=int, choices=range(4), required=True)
     t.add_argument("--frontend", choices=sorted(FRONTEND_ALIASES), default="baseline")
     t.add_argument("--init", choices=sorted(INIT_ALIASES), default="fir")
     t.add_argument("--trainable", action=argparse.BooleanOptionalAction, default=True)
@@ -514,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--cycles", required=True)
     e.add_argument("--folds", required=True)
-    e.add_argument("--fold", type=int, required=True)
+    e.add_argument("--fold", type=int, choices=range(4), required=True)
     e.add_argument("--config-name")
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_eval)
@@ -535,11 +443,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
         with ad.blas_on_calling_thread():
-            return args.fn(args, argv)
+            start = time.perf_counter()
+            with dat.logged_io() as (inputs, outputs):
+                config = args.fn(args, out)
+            config_hash = None if config is None else hashlib.sha256(
+                json.dumps(config, sort_keys=True).encode()).hexdigest()
+            manifest = {
+                "command": argv,
+                "seed": getattr(args, "seed", None),
+                "config_hash": config_hash,
+                "inputs": inputs,
+                "outputs": outputs,
+                "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "wall_s": time.perf_counter() - start,
+                "environment": _environment(),
+            }
+            dat.write_output(out / "manifest.json",
+                             json.dumps(manifest, indent=2, sort_keys=True))
+        return 0
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

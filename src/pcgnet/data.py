@@ -7,16 +7,24 @@ an autocorrelation period estimate constrained to plausible heart rates,
 and comb-aligned cycle anchors refined to local envelope peaks. It is
 validated against synthetic recordings with known timing; real-world
 segmentation quality is out of scope here.
+
+Every file the package reads comes in through `read_input` and every file
+it writes goes out through `write_output`; inside a `logged_io()` block the
+two record each path with the sha256 of the bytes read or written, which is
+how a command's manifest learns its inputs and outputs.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import struct
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -114,21 +122,69 @@ def load_recording(wav_path: str, label: int, recording_id: str | None = None,
 def write_wav(path: str, x: Waveform) -> None:
     """Write a waveform as PCM16 mono (values clipped to [-1, 1))."""
     pcm = np.clip(np.round(x.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(int(round(x.sample_rate_hz)))
         wf.writeframes(pcm.tobytes())
+    write_output(path, buf.getvalue())
+
+
+_io_log: tuple[dict[str, str], dict[str, str]] | None = None
+
+
+@contextmanager
+def logged_io():
+    """Record the files read and written inside the block: yields the
+    (inputs, outputs) dicts that `read_input` and `write_output` fill with
+    str(Path(path)) -> sha256 of the bytes read or written. Outside such a
+    block nothing is recorded."""
+    global _io_log
+    previous = _io_log
+    _io_log = ({}, {})
+    try:
+        yield _io_log
+    finally:
+        _io_log = previous
+
+
+def _sha256(*chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def read_input(path, error: type[Exception] = DataError) -> bytes:
     """The bytes of one input file, the one place the package opens a file
-    it reads; a file that cannot be read (missing, a directory) raises `error`."""
+    it reads; a file that cannot be read (missing, a directory) raises `error`.
+    Inside `logged_io` the path and the bytes' sha256 are an input."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            blob = fh.read()
     except OSError as e:
         raise error(f"cannot read {path}: {e}") from None
+    if _io_log is not None:
+        _io_log[0][str(Path(path))] = _sha256(blob)
+    return blob
+
+
+def write_output(path, *chunks) -> None:
+    """Write `chunks` (bytes-like, or str as UTF-8) to `path` in order, the
+    one place the package opens a file it writes; the parent directory is
+    made first. A path that cannot be written (under a file, a directory
+    of that name) is a DataError. Inside `logged_io` the path and the
+    sha256 of the bytes written are an output."""
+    chunks = [c.encode() if isinstance(c, str) else c for c in chunks]
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from None
+    if _io_log is not None:
+        _io_log[1][str(Path(path))] = _sha256(*chunks)
 
 
 def read_text(path) -> str:
@@ -175,12 +231,13 @@ def write_csv(path, header: list[str], rows) -> None:
     `rows`, in the default csv dialect (lines end in \\r\\n). A float cell,
     Python or numpy, is written as repr(float(v)), the shortest text that
     reads back to the same double; any other cell is written as is."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+    text = io.StringIO(newline="")
+    w = csv.writer(text)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                    for v in row])
+    write_output(path, text.getvalue())
 
 
 def _manifest_rows(path: str, column: str) -> dict[str, str]:
@@ -487,11 +544,9 @@ class CycleStore:
         meta = [{"recording_id": r, "label": int(l), "valid_len": int(v), "subset": s}
                 for r, l, v, s in zip(self.recording_ids, self.labels,
                                       self.valid_lens, self.subsets)]
-        with open(path, "wb") as fh:
-            fh.write(STORE_MAGIC)
-            fh.write(struct.pack("<QQ", self.samples.shape[0], self.samples.shape[1]))
-            fh.write(np.ascontiguousarray(self.samples, dtype="<f8").tobytes())
-            fh.write(json.dumps(meta, sort_keys=True).encode())
+        write_output(path, STORE_MAGIC, struct.pack("<QQ", *self.samples.shape),
+                     np.ascontiguousarray(self.samples, dtype="<f8"),
+                     json.dumps(meta, sort_keys=True))
 
     @classmethod
     def load(cls, path: str) -> "CycleStore":

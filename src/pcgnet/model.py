@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .data import CYCLE_LEN, PIPELINE_RATE_HZ, ByteCursor, read_input
+from .data import CYCLE_LEN, PIPELINE_RATE_HZ, ByteCursor, read_input, write_output
 from .dsp import next_pow2
 from .errors import CheckpointError, check_field_types
 from .fir import DEFAULT_ORDER, FilterBank, default_bank
@@ -89,6 +89,9 @@ class NetworkConfig:
                              f"than input_len {self.input_len}")
         if self.pool < 1:
             raise ValueError("pool must be >= 1")
+        if branch_feature_len(self.input_len, self.branch_kernel, self.pool) < 1:
+            raise ValueError(f"pool {self.pool} leaves no branch features of "
+                             f"input_len {self.input_len}")
         ad.check_dropout_rate(self.dropout, in_bytes=True)
         if not self.l2_conv >= 0.0:
             raise ValueError(f"l2_conv must be >= 0, got {self.l2_conv!r}")
@@ -364,8 +367,7 @@ def save(net: Network, path: str) -> None:
         for d in arr.shape:
             buf.write(struct.pack("<Q", d))
         buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    write_output(path, buf.getvalue())
 
 
 def load(path: str) -> Network:

@@ -332,6 +332,75 @@ class TestInputFiles:
         assert f"cannot read {bad}" in err[0]
 
 
+class TestOutputs:
+    @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file",
+                                      "artifact_is_a_directory"])
+    def test_unusable_output_is_one_line(self, tmp_path, capsys, case):
+        out = tmp_path / "out"
+        if case == "out_is_a_file":
+            out.write_text("x")
+        elif case == "out_under_a_file":
+            (tmp_path / "file").write_text("x")
+            out = tmp_path / "file" / "out"
+        else:
+            (out / "bank.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["design", "--bank", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        assert err[0].startswith(f"data error: cannot write {out / 'bank.json'}")
+
+    @staticmethod
+    def checked_manifest(out):
+        """The manifest of --out after checking it against the disk: every
+        digest is the sha256 of its file, the outputs are every file under
+        `out` but the manifest, and wall_s is a time."""
+        manifest = json.loads((out / "manifest.json").read_text())
+        for path, sha in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert digest(path) == sha, path
+        written = {str(p) for p in out.rglob("*") if p.is_file()} - {str(out / "manifest.json")}
+        assert set(manifest["outputs"]) == written
+        assert isinstance(manifest["wall_s"], float) and manifest["wall_s"] >= 0.0
+        return manifest
+
+    def test_manifest_lists_what_ingest_read_and_wrote(self, pipeline, tmp_path):
+        wavs = sorted((pipeline / "data" / "wav").glob("*.wav"))[:3]
+        (tmp_path / "wav").mkdir()
+        for wav in wavs:
+            (tmp_path / "wav" / wav.name).write_bytes(wav.read_bytes())
+        # no label: skipped before it is read, so it is no input
+        (tmp_path / "wav" / "stray.wav").write_bytes(wavs[0].read_bytes())
+        labels = pipeline / "data" / "labels.csv"
+        out = tmp_path / "store"
+        assert main(["ingest", "--wav-dir", str(tmp_path / "wav"), "--labels", str(labels),
+                     "--out", str(out)]) == 0
+        manifest = self.checked_manifest(out)
+        assert set(manifest["inputs"]) == {str(labels), *(str(tmp_path / "wav" / w.name)
+                                                          for w in wavs)}
+        assert set(manifest["outputs"]) == {str(out / "cycles.bin")}
+
+    def test_manifest_lists_what_report_read_and_wrote(self, tmp_path):
+        runs = tmp_path / "runs"
+        for name in ("lp", "zp"):
+            (runs / name).mkdir(parents=True)
+            with open(runs / name / "eval.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows([EVAL_HEADER, [name, 0, 1, 1, 1, 1, 50.0, 50.0, 50.0]])
+        out = tmp_path / "rep"
+        assert main(["report", "--runs", str(runs), "--out", str(out)]) == 0
+        manifest = self.checked_manifest(out)
+        assert set(manifest["inputs"]) == {str(runs / "lp" / "eval.csv"),
+                                           str(runs / "zp" / "eval.csv")}
+        assert set(manifest["outputs"]) == {str(out / "report.csv"), str(out / "report.json")}
+
+    def test_manifest_lists_every_file_synth_and_design_wrote(self, tmp_path):
+        for argv in (["synth", "--n", "3", "--seed", "2"], ["design", "--bank"]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 0
+            manifest = self.checked_manifest(out)
+            assert manifest["inputs"] == {}
+            assert len(manifest["outputs"]) == (4 if argv[0] == "synth" else 5)
+
+
 class TestTrainEval:
     def test_train_eval_round(self, pipeline, tmp_path):
         run = tmp_path / "run"
@@ -434,6 +503,23 @@ class TestTrainEval:
         assert env["cpus_available"] >= env["stage_workers"] >= 1
         assert env["blas_threads_in_use"] == (None if ad.blas_threads_in_use() is None else 1)
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("fold", ["-1", "5"])
+    def test_fold_outside_zero_to_three_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                       command, fold):
+        # -1 marks the recordings that train in every split: validating on
+        # them once read "best val Macc 100.0"
+        extra = ["--ckpt", str(tmp_path / "m.ckpt")] if command == "eval" else []
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--cycles", str(pipeline / "store" / "cycles.bin"),
+                  "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", fold,
+                  *extra, "--out", str(tmp_path / "run")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fold" in err and "invalid choice" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_combo_is_usage_error(self, pipeline, tmp_path):
         assert main(["train", "--cycles", str(pipeline / "store" / "cycles.bin"),
                      "--folds", str(pipeline / "folds" / "folds.csv"),
@@ -488,7 +574,7 @@ class TestTrainEval:
         ("class_weights", [1.0]), ("class_weights", [1.0, 0.0]), ("class_weights", "x"),
         ("dropout", 0.3), ("batch_size", 1), ("pool", 2.0), ("kernel_len", 61.0),
         ("lr0", True), ("l2_conv", "0.1"), ("class_weights", 2.0),
-        ("kernel_len", -1), ("kernel_len", 1),
+        ("kernel_len", -1), ("kernel_len", 1), ("pool", 50), ("pool", 625),
     ])
     def test_bad_config_value_is_usage_error(self, pipeline, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import struct
 import tracemalloc
 
@@ -8,8 +9,8 @@ import pytest
 from pcgnet.data import (CYCLE_LEN, ByteCursor, CycleRecord, CycleStore, RecordingMeta,
                          SegmentationError, TRAIN_ONLY_FOLD, load_recording,
                          make_folds, read_fold_manifest, read_label_manifest,
-                         segment_cycles, synth_pcg, write_csv, write_fold_manifest,
-                         write_label_manifest, write_wav)
+                         logged_io, read_input, segment_cycles, synth_pcg, write_csv,
+                         write_fold_manifest, write_label_manifest, write_output, write_wav)
 from pcgnet.dsp import Waveform, ltsa
 from pcgnet.errors import DataError
 
@@ -305,6 +306,30 @@ class TestWriteCsv:
         back = [float(r[2]) for r in rows]
         assert back == floats
         assert [np.signbit(v) for v in back] == [np.signbit(v) for v in floats]
+
+
+class TestLoggedIo:
+    def test_records_inside_the_block_only(self, tmp_path):
+        path = tmp_path / "sub" / "out.bin"
+        write_output(path, b"before")              # makes sub/, records nothing
+        with logged_io() as (inputs, outputs):
+            write_output(path, "a\u00e9", b"b", np.arange(2, dtype="<f8"))
+            with logged_io() as (inner_in, inner_out):
+                blob = read_input(path)
+            read_input(path)                       # the outer block records again
+        read_input(path)
+        write_output(tmp_path / "after.bin", b"x")
+        assert blob == "a\u00e9".encode() + b"b" + np.arange(2, dtype="<f8").tobytes()
+        digest = hashlib.sha256(blob).hexdigest()
+        assert inner_in == {str(path): digest} and inner_out == {}
+        assert outputs == {str(path): digest}
+        assert inputs == {str(path): digest}
+
+    def test_unwritable_path_is_data_error(self, tmp_path):
+        (tmp_path / "file").write_text("x")
+        for path in (tmp_path / "file" / "out.csv", tmp_path):
+            with pytest.raises(DataError, match=f"cannot write {path}"):
+                write_output(path, b"x")
 
 
 class CursorError(Exception):

@@ -375,21 +375,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="head.b2"):
             load(str(path))
 
+    @staticmethod
+    def _saved_with_config(path, **changes):
+        """A baseline checkpoint of 100-sample cycles whose stored config
+        JSON has `changes` applied after saving."""
+        save(build(NetworkConfig(frontend="external_fir", input_len=100, seed=0)), str(path))
+        blob = path.read_bytes()
+        at = len(CKPT_MAGIC) + 4
+        (n,) = struct.unpack_from("<Q", blob, at)
+        cfg = json.dumps({**json.loads(blob[at + 8:at + 8 + n]), **changes}).encode()
+        path.write_bytes(blob[:at] + struct.pack("<Q", len(cfg)) + cfg + blob[at + 8 + n:])
+        return str(path)
+
     @pytest.mark.parametrize("kernel_len", [-1, 1])
     def test_kernel_len_below_three_rejected(self, tmp_path, kernel_len):
         # no array of a baseline checkpoint is sized by kernel_len, so the
         # config check alone keeps it from a filter bank of order < 2
-        save(build(NetworkConfig(frontend="external_fir", input_len=100, seed=0)),
-             str(tmp_path / "m.ckpt"))
-        blob = (tmp_path / "m.ckpt").read_bytes()
-        at = len(CKPT_MAGIC) + 4
-        (n,) = struct.unpack_from("<Q", blob, at)
-        cfg = json.dumps({**json.loads(blob[at + 8:at + 8 + n]),
-                          "kernel_len": kernel_len}).encode()
-        (tmp_path / "m.ckpt").write_bytes(blob[:at] + struct.pack("<Q", len(cfg)) + cfg
-                                          + blob[at + 8 + n:])
+        path = self._saved_with_config(tmp_path / "m.ckpt", kernel_len=kernel_len)
         with pytest.raises(CheckpointError, match="kernel_len"):
-            load(str(tmp_path / "m.ckpt"))
+            load(path)
+
+    def test_pool_leaving_no_branch_features_rejected(self, tmp_path):
+        # 100 samples -> conv 96 -> pool 8 -> conv 4 -> pool 0 features
+        assert branch_feature_len(100, 5, 12) == 0
+        path = self._saved_with_config(tmp_path / "m.ckpt", pool=12)
+        with pytest.raises(CheckpointError, match="pool 12 .*input_len 100"):
+            load(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
