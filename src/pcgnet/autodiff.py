@@ -18,21 +18,25 @@ backward, nfft = next_pow2(L + K - 1): the unpadded signal's spectrum
 times the kernel's is the full linear convolution, read from sample
 start = K - 1 - p (p the "same" padding). Backward transforms the output
 gradient once, placed at `start`, and correlates it with the signal (the
-kernel gradient) and with the kernel (the input gradient).
+kernel gradient) and with the kernel (the input gradient). The
+transforms, the products and the input gradient split by batch row
+across the stage workers; the kernel gradient sums over every row, so it
+stays one product on the calling thread.
 
 Stage workers: the grouped conv1d direct path (k < FFT_KERNEL_MIN) splits
-its forward and backward work by whole channel groups and
-bn_relu_dropout_pool by channel pairs, one chunk per stage worker. The
-calling thread runs the first chunk and a module-level thread pool the
-rest. The worker count is the number of CPUs this process may run on
-(os.sched_getaffinity), capped at the number of groups or pairs; one
-worker runs everything inline. It is not a setting, and the BLAS thread
-variables do not set it. A chunk writes its results only into its own
-slice of arrays that the calling thread allocated, and calls array
-helpers only, never an op; graph nodes, random draws and running
+its forward and backward work by whole channel groups, the FFT path (and
+model.Network.decompose) by contiguous batch rows, and
+bn_relu_dropout_pool by channel pairs, one chunk per stage worker
+(run_split). The calling thread runs the first chunk and a module-level
+thread pool the rest. The worker count is the number of CPUs this process
+may run on (os.sched_getaffinity), capped at the number of groups, rows
+or pairs; one worker runs everything inline. It is not a setting, and the
+BLAS thread variables do not set it. A chunk writes its results only into
+its own slice of arrays that the calling thread allocated, and calls
+array helpers only, never an op; graph nodes, random draws and running
 statistics stay on the calling thread. Every op split this way is per
-channel or per group, and the node reduces over blocks of two or three
-channels (numpy sums a lone channel in another order), so outputs,
+channel, per group or per row, and the node reduces over blocks of two or
+three channels (numpy sums a lone channel in another order), so outputs,
 gradients and running statistics are bitwise the same for any worker
 count. Within its chunk the direct conv path works through the batch in
 cache-sized blocks of rows, rebuilding its window matrices in backward
@@ -210,7 +214,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_executor)
 
 
-def _run_split(work, parts: int) -> None:
+def run_split(work, parts: int) -> None:
     """Call work(p0, p1) on contiguous ranges of the parts, one range per
     stage worker: the first on this thread, the others on the pool. Returns
     once every range is done and raises the first error."""
@@ -478,10 +482,17 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
     if use_fft:
         # output n is sample start + n of the full linear convolution
         nfft, start = next_pow2(length + k - 1), k - 1 - p
-        xhat = np.fft.rfft(x.data, nfft).reshape(b, ng, ci, -1)
-        khat = np.fft.rfft(kernel.data, nfft).reshape(ng, co, ci, -1)
-        full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xhat, khat), nfft)
-        out = np.ascontiguousarray(full[..., start:start + ln]).reshape(b, gco, ln)
+        nf = nfft // 2 + 1
+        khat = np.fft.rfft(kernel.data, nfft).reshape(ng, co, ci, nf)
+        xhat = np.empty((b, ng, ci, nf), dtype=np.complex128)
+        out = np.empty((b, gco, ln))
+
+        def forward_rows(r0, r1):
+            np.fft.rfft(x.data[r0:r1], nfft, out=xhat[r0:r1].reshape(r1 - r0, gci, nf))
+            full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xhat[r0:r1], khat), nfft)
+            out[r0:r1] = full[..., start:start + ln].reshape(r1 - r0, gco, ln)
+
+        run_split(forward_rows, b)
     else:
         # cols[b, g, c*k + j, n] = xp[b, g*ci + c, n + j]; the flipped kernel
         # times these windows is the convolution, already in [B, G*Co, Ln]
@@ -495,23 +506,33 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
             for rows, cols in _window_blocks(win, g0, g1, ci):
                 np.matmul(kf[g0:g1], cols, out=out_g[rows, g0:g1])
 
-        _run_split(forward, ng)
+        run_split(forward, ng)
 
     def back(g):
         g = np.ascontiguousarray(g).reshape(b, ng, co, ln)
         if not use_fft:
             _conv_direct_backward(g, x, kernel, win, kf, p)
             return
-        # g placed at `start` in a zeroed frame: no product wraps around
-        gfull = np.zeros((b, ng, co, nfft))
-        gfull[..., start:start + ln] = g
-        ghat = np.fft.rfft(gfull)
+        ghat = np.empty((b, ng, co, nf), dtype=np.complex128)
+        dx = np.empty((b, gci, length)) if x.requires_grad else None
+        khat_c = np.conj(khat) if dx is not None else None
+
+        def backward_rows(r0, r1):
+            # g placed at `start` in a zeroed frame: no product wraps around
+            gfull = np.zeros((r1 - r0, ng, co, nfft))
+            gfull[..., start:start + ln] = g[r0:r1]
+            np.fft.rfft(gfull, out=ghat[r0:r1])
+            if dx is not None:
+                full = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat[r0:r1], khat_c), nfft)
+                dx[r0:r1] = full[..., :length].reshape(r1 - r0, gci, length)
+
+        run_split(backward_rows, b)
         if kernel.requires_grad:
+            # a sum over every row: one product, on this thread
             dk = np.fft.irfft(np.einsum("bgof,bgcf->gocf", ghat, np.conj(xhat)), nfft)
             kernel.accumulate_owned(np.ascontiguousarray(dk[..., :k]).reshape(gco, ci, k))
-        if x.requires_grad:
-            dx = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat, np.conj(khat)), nfft)
-            x.accumulate_owned(np.ascontiguousarray(dx[..., :length]).reshape(b, gci, length))
+        if dx is not None:
+            x.accumulate_owned(dx)
 
     return _node(out, (x, kernel), back, f"conv1d_{padding}")
 
@@ -582,7 +603,7 @@ def _conv_direct_backward(g, x: Tensor, kernel: Tensor, win, kf, p: int) -> None
                           sliding_window_view(gp, lp, axis=3))
                 np.matmul(kk[g0:g1], buf, out=dxp[rows, g0:g1])
 
-    _run_split(backward_groups, ng)
+    run_split(backward_groups, ng)
     if dk is not None:
         kernel.accumulate_owned(dk.reshape(ng * co, ci, k))
     if dxp is not None:
@@ -968,7 +989,7 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
                 os_ *= 1.0 / (1.0 - rate)
             np.maximum(os_, 0.0, out=os_)
 
-    _run_split(forward, pairs)
+    run_split(forward, pairs)
     if train:
         state.update(mu, var, bias)
         parents = (x, gamma, beta)
@@ -996,7 +1017,7 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
                     gys, xs, mu[c0:c1], ivar[c0:c1], a_ch[c0:c1], train,
                     None if dx is None else dx[:, c0:c1], g_scratch=True)
 
-        _run_split(backward_pairs, pairs)
+        run_split(backward_pairs, pairs)
         _bn_accumulate(x, gamma, beta, bias, train, a_ch, gsum, gxh, dx)
 
     return _node(out, parents, back, "bn_relu_dropout_pool")

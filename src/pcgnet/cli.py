@@ -4,12 +4,14 @@ fold creation, training, evaluation, reporting, and checkpoint analysis.
 Every command writes its artifacts under --out; `main` then drops a
 manifest.json there recording the command line, seed, config hash (train),
 the files the command read and wrote, each with the sha256 of the bytes it
-parsed or wrote (data.logged_io), its wall time (`wall_s`) and an environment
-block (Python, numpy, BLAS thread variables and the BLAS threads in use, CPUs
+parsed or wrote (data.logged_io), its wall time (`wall_s`), the process's
+peak resident set size so far (`peak_rss_mb`) and an environment block
+(Python, numpy, BLAS thread variables and the BLAS threads in use, CPUs
 available, stage workers). A command is `fn(args, out)`: it reads through
 data.read_input, writes through data.write_output and knows nothing of the
 manifest. Reruns with identical inputs and seed reproduce the output digests
-exactly, whatever the environment.
+exactly, whatever the environment; `wall_s`, `peak_rss_mb` and `created_utc`
+are measurements, not outputs, and may differ.
 
 Every command runs BLAS on the calling thread, whatever
 OPENBLAS_NUM_THREADS says (autodiff.blas_on_calling_thread): OpenBLAS's
@@ -27,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 import time
 from dataclasses import asdict, replace
@@ -53,8 +56,10 @@ def _environment() -> dict:
     """What a run's speed depends on, not its artifacts: Python and numpy
     versions, the BLAS thread variables, the threads OpenBLAS runs on inside
     the command (None without its thread API), the CPUs this process may use
-    and the stage workers of the grouped branch convolutions (the stage
-    nodes split by channel pair and may use more, up to the CPUs)."""
+    and the stage workers of the grouped branch convolutions. The other
+    split ops may use more, up to the CPUs: the stage nodes split by
+    channel pair, and the FFT convolutions and the fixed-bank decomposition
+    by batch row. No result depends on any of these counts."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
             "blas_threads_in_use": ad.blas_threads_in_use(),
@@ -460,6 +465,8 @@ def main(argv: list[str] | None = None) -> int:
                 "outputs": outputs,
                 "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "wall_s": time.perf_counter() - start,
+                # the process's peak so far; ru_maxrss is in KiB on Linux
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                 "environment": _environment(),
             }
             dat.write_output(out / "manifest.json",

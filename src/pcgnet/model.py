@@ -256,22 +256,31 @@ class Network:
         [batch, bands, L], the external_fir front-end.
 
         Centered alignment (numpy "same" convolution), matching the conv
-        front-end's output sample-for-sample. The whole batch goes through
-        one FFT product, independent of autodiff.conv1d, so comparing the
-        two checks one implementation against another.
+        front-end's output sample-for-sample. Each cycle goes through one
+        FFT product with the bank's spectrum, independent of
+        autodiff.conv1d, so comparing the two checks one implementation
+        against another. The stage workers split the batch by rows
+        (autodiff.run_split); every row is computed on its own, so the
+        result does not depend on the worker count.
         """
         if self.bank is None:
             raise ValueError("this network has no fixed filter bank to decompose with")
         raw = np.asarray(raw, dtype=np.float64)
         coeffs = np.stack([f.coeffs for f in self.bank.filters])   # [bands, K]
-        n, k = raw.shape[1], coeffs.shape[1]
+        (b, n), (bands, k) = raw.shape, coeffs.shape
         if n < k:
             raise ValueError(f"cycles of {n} samples are shorter than the {k}-tap bank")
         nfft = next_pow2(n + k - 1)
-        spec = np.fft.rfft(raw, nfft)[:, None, :] * np.fft.rfft(coeffs, nfft)[None, :, :]
-        full = np.fft.irfft(spec, nfft)
+        bank_hat = np.fft.rfft(coeffs, nfft)
         start = (k - 1) // 2
-        return np.ascontiguousarray(full[:, :, start:start + n])
+        out = np.empty((b, bands, n))
+
+        def rows(r0, r1):
+            spec = np.fft.rfft(raw[r0:r1], nfft)[:, None, :] * bank_hat[None, :, :]
+            out[r0:r1] = np.fft.irfft(spec, nfft)[:, :, start:start + n]
+
+        ad.run_split(rows, b)
+        return out
 
 
 def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

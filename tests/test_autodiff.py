@@ -11,6 +11,7 @@ import pcgnet.autodiff as ad
 from pcgnet.cli import main
 from pcgnet.dsp import Waveform
 from pcgnet.fir import FirFilter, apply_fir
+from pcgnet.model import NetworkConfig, build
 
 from gradcheck import analytic_gradient, numeric_gradient, relative_error
 
@@ -555,8 +556,9 @@ class TestBnReluDropoutPool:
 
 
 class TestStageWorkers:
-    """Grouped conv1d splits its work by channel groups and the fused stage
-    node by channel pairs across the stage workers; every result must be
+    """Grouped conv1d's direct path splits its work by channel groups, its
+    FFT path and Network.decompose by batch rows, and the fused stage node
+    by channel pairs across the stage workers; every result must be
     bitwise the same for any worker count."""
 
     CHUNKS = (1, 2, 3, 4)
@@ -612,7 +614,7 @@ class TestStageWorkers:
                 raise RuntimeError("chunk 3")
 
         with pytest.raises(RuntimeError, match="chunk 3"):
-            ad._run_split(work, 4)
+            ad.run_split(work, 4)
         assert sorted(done) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -655,6 +657,51 @@ class TestStageWorkers:
         # the batch in blocks of one row each, not in one block
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
         self._assert_bitwise_equal(self._per_chunk_count(monkeypatch, run), whole)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    @pytest.mark.parametrize("groups,ci", [(1, 1), (4, 1), (1, 3), (4, 3)])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_fft_conv_is_chunk_invariant(self, monkeypatch, padding, groups, ci, x_grad,
+                                         batch):
+        # the FFT path splits by batch row: 3 rows give 1, 2 or 3 chunks
+        co, k, length = 2, ad.FFT_KERNEL_MIN + 1, 40
+        rng = np.random.default_rng(100 * groups + 10 * ci + batch)
+        xv = rng.normal(size=(batch, groups * ci, length))
+        kv = rng.normal(size=(groups * co, ci, k))
+        coef = rng.normal(size=(batch, groups * co, length if padding == "same"
+                                else length - k + 1))
+
+        def run():
+            x = ad.Tensor(xv, requires_grad=x_grad)
+            kern = ad.Tensor(kv, requires_grad=True)
+            y = ad.conv1d(x, kern, padding, groups=groups)
+            ad.backward(ad.tsum(ad.mul(y, ad.tensor(coef))))
+            assert (x.grad is not None) == x_grad
+            return (y.data, kern.grad) + ((x.grad,) if x_grad else ())
+
+        self._per_chunk_count(monkeypatch, run)
+
+    @pytest.mark.parametrize("rows", [1, 3, 256])
+    def test_decompose_is_chunk_invariant(self, monkeypatch, rows):
+        net = build(NetworkConfig(frontend="external_fir", input_len=120, kernel_len=31))
+        raw = np.random.default_rng(rows).normal(size=(rows, 120))
+        self._per_chunk_count(monkeypatch, lambda: (net.decompose(raw),))
+
+    def test_fft_conv_gradients_match_finite_differences_on_two_chunks(self, monkeypatch):
+        self._force(monkeypatch, 2)
+        rng = np.random.default_rng(52)
+        x = ad.Tensor(rng.normal(size=(3, 4, 24)), requires_grad=True)
+        kern = ad.Tensor(rng.normal(size=(8, 2, 17)), requires_grad=True)
+        coef = rng.normal(size=(3, 8, 24))
+
+        def f():
+            return ad.tsum(ad.mul(ad.conv1d(x, kern, "same", groups=2), ad.tensor(coef)))
+
+        for p in (x, kern):
+            num = numeric_gradient(f, p)
+            (ana,) = analytic_gradient(f, [p])
+            assert relative_error(ana, num) < 1e-6
 
     @pytest.mark.parametrize("channels", [8, 7])
     @pytest.mark.parametrize("pool", [1, 2, 3])

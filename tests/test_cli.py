@@ -354,13 +354,14 @@ class TestOutputs:
     def checked_manifest(out):
         """The manifest of --out after checking it against the disk: every
         digest is the sha256 of its file, the outputs are every file under
-        `out` but the manifest, and wall_s is a time."""
+        `out` but the manifest, wall_s is a time and peak_rss_mb a size."""
         manifest = json.loads((out / "manifest.json").read_text())
         for path, sha in {**manifest["inputs"], **manifest["outputs"]}.items():
             assert digest(path) == sha, path
         written = {str(p) for p in out.rglob("*") if p.is_file()} - {str(out / "manifest.json")}
         assert set(manifest["outputs"]) == written
         assert isinstance(manifest["wall_s"], float) and manifest["wall_s"] >= 0.0
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
         return manifest
 
     def test_manifest_lists_what_ingest_read_and_wrote(self, pipeline, tmp_path):

@@ -41,12 +41,16 @@ def subtree_names(spans, root_name):
     return names
 
 
-def test_traced_train_and_evaluate(monkeypatch):
-    # two stage workers even on a one-CPU host: the grouped convs and stage
-    # nodes then run chunks on a pool thread, and check_nesting below shows
-    # that no worker thread ever enters a traced op
+def force_two_workers(monkeypatch):
+    """Two stage workers even on a one-CPU host: the grouped convs, the FFT
+    convs and the stage nodes then run chunks on a pool thread, and
+    check_nesting shows that no worker thread ever enters a traced op."""
     monkeypatch.setattr(ad, "available_cpus", lambda: 2)
     assert ad.stage_workers(4) == 2
+
+
+def test_traced_train_and_evaluate(monkeypatch):
+    force_two_workers(monkeypatch)
     spans_mod = load_spans()
     store = toy_store(n_recordings=8, cycles_per=3, length=120)
     folds = toy_folds(store)
@@ -82,6 +86,35 @@ def test_traced_train_and_evaluate(monkeypatch):
     for names in (train, evaluate):
         assert not [n for n in names if n.startswith(
             ("autodiff.batchnorm", "autodiff.dropout", "autodiff.maxpool"))]
+
+
+def test_traced_zero_phase_train(monkeypatch):
+    # the zero-phase front-end is two FFT convs, the second one grouped, and
+    # its reverse pass needs the input gradient of the second
+    force_two_workers(monkeypatch)
+    spans_mod = load_spans()
+    store = toy_store(n_recordings=8, cycles_per=3, length=120)
+    tracer = spans_mod.Tracer()
+    tracer.install()
+    try:
+        zp = build(NetworkConfig(frontend="tconv_zp", input_len=120, seed=1))
+        trn.train_fold(zp, store, toy_folds(store), 0,
+                       TrainConfig(batch_size=8, epochs=1, seed=1))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert spans_mod.check_nesting(spans) == []
+    train = Counter(subtree_names(spans, "training.train_fold"))
+    steps = train["training.adam_step"]
+    assert steps > 0
+    forward = Counter(train_forward_names(spans))
+    assert forward["model.forward"] == forward["frontend.forward"] == steps
+    assert forward["autodiff.conv1d_same.fwd"] == forward["autodiff.conv1d_valid.fwd"] \
+        == 2 * steps
+    assert forward["autodiff.relu.fwd"] == steps
+    assert train["autodiff.conv1d_same.bwd"] == 2 * steps
+    assert not [n for n in train if n.startswith(
+        ("autodiff.batchnorm", "autodiff.dropout", "autodiff.maxpool"))]
 
 
 def train_forward_names(spans):
