@@ -515,7 +515,7 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
             return
         ghat = np.empty((b, ng, co, nf), dtype=np.complex128)
         dx = np.empty((b, gci, length)) if x.requires_grad else None
-        khat_c = np.conj(khat) if dx is not None else None
+        khat_c = np.conj(khat)
 
         def backward_rows(r0, r1):
             # g placed at `start` in a zeroed frame: no product wraps around
