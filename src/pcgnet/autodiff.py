@@ -488,7 +488,7 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
         out = np.empty((b, gco, ln))
 
         def forward_rows(r0, r1):
-            np.fft.rfft(x.data[r0:r1], nfft, out=xhat[r0:r1].reshape(r1 - r0, gci, nf))
+            xhat[r0:r1] = np.fft.rfft(x.data[r0:r1], nfft).reshape(r1 - r0, ng, ci, nf)
             full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xhat[r0:r1], khat), nfft)
             out[r0:r1] = full[..., start:start + ln].reshape(r1 - r0, gco, ln)
 
@@ -521,7 +521,7 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
             # g placed at `start` in a zeroed frame: no product wraps around
             gfull = np.zeros((r1 - r0, ng, co, nfft))
             gfull[..., start:start + ln] = g[r0:r1]
-            np.fft.rfft(gfull, out=ghat[r0:r1])
+            ghat[r0:r1] = np.fft.rfft(gfull)
             if dx is not None:
                 full = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat[r0:r1], khat_c), nfft)
                 dx[r0:r1] = full[..., :length].reshape(r1 - r0, gci, length)
