@@ -253,10 +253,7 @@ def _openblas_thread_api():
     """(get, set) of the thread count of the OpenBLAS that numpy links, or
     None if numpy's BLAS has no such API. dlsym on numpy's core extension
     searches the libraries it depends on, the bundled OpenBLAS among them."""
-    try:
-        from numpy._core import _multiarray_umath as core
-    except ImportError:   # numpy 1.x
-        from numpy.core import _multiarray_umath as core
+    from numpy._core import _multiarray_umath as core
     try:
         lib = ctypes.CDLL(core.__file__)
     except OSError:

@@ -42,12 +42,11 @@ from . import data as dat
 from . import fir
 from . import model as mdl
 from . import training as trn
-from .dsp import Waveform, ltsa
+from .dsp import LTSA_WINDOW, Waveform, ltsa
 from .errors import DataError, NumericalAbort
 
-FRONTEND_ALIASES = {"baseline": "external_fir", "tconv": "tconv_free",
-                    "lp": "tconv_lp", "zp": "tconv_zp"}
-INIT_ALIASES = {"fir": "fir_bank", "random": "random", "zeros": "zeros"}
+FRONTEND_ALIASES = {alias: value for value, (alias, _, _) in mdl.FRONTENDS.items()}
+INIT_ALIASES = {alias: value for value, (alias, _) in mdl.INITS.items()}
 RESPONSE_POINTS = 512       # --points default of design, response and analyze
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -146,7 +145,7 @@ def cmd_folds(args, out: Path) -> None:
     assignment = dat.make_folds(metas, args.seed, pinned_fold0=pinned)
     dat.write_fold_manifest(out / "folds.csv", assignment)
     print("fold  normal  abnormal")
-    for fold in (0, 1, 2, 3, dat.TRAIN_ONLY_FOLD):
+    for fold in (*dat.VALIDATION_FOLDS, dat.TRAIN_ONLY_FOLD):
         ids = [r for r, f in assignment.items() if f == fold]
         n_abn = sum(rec_labels[r] for r in ids)
         tag = str(fold) if fold != dat.TRAIN_ONLY_FOLD else "train-only"
@@ -195,17 +194,6 @@ def _train_config(args, overrides: dict) -> trn.TrainConfig:
     return cfg
 
 
-def config_name(cfg: mdl.NetworkConfig) -> str:
-    """Short human label for a front-end configuration."""
-    if cfg.frontend == "external_fir":
-        return "baseline"
-    kind = {"tconv_free": "tconv", "tconv_lp": "lp-tconv", "tconv_zp": "zp-tconv"}[cfg.frontend]
-    init = {"fir_bank": "fir", "random": "rand", "zeros": "zeros"}[cfg.init]
-    if not cfg.frontend_trainable:
-        return f"{kind}-nonlearn"
-    return f"{kind}-{init}"
-
-
 def cmd_train(args, out: Path) -> dict:
     """Train one fold; returns the config the manifest hashes."""
     overrides = _read_config(args.config)
@@ -220,7 +208,7 @@ def cmd_train(args, out: Path) -> dict:
     dat.write_csv(out / "history.csv", ["epoch", "train_loss", "val_macc_pct", "val_cycle_acc"],
                   ([h.epoch, h.train_loss, h.val_macc_pct, h.val_cycle_acc] for h in history))
     best = max((h.val_macc_pct for h in history), default=float("nan"))
-    print(f"{config_name(net_cfg)} fold {args.fold}: best val Macc "
+    print(f"{mdl.config_name(net_cfg)} fold {args.fold}: best val Macc "
           f"{trn.round2(best) if history else 'n/a'}")
     return {"network": asdict(net_cfg), "train": asdict(train_cfg)}
 
@@ -234,7 +222,7 @@ def cmd_eval(args, out: Path) -> None:
     folds = dat.read_fold_manifest(args.folds)
     _, val_idx = trn.split_fold(store, folds, args.fold)
     report = trn.evaluate(net, store, val_idx, fold=args.fold)
-    name = args.config_name or config_name(net.config)
+    name = args.config_name or mdl.config_name(net.config)
     dat.write_csv(out / "eval.csv", ["config", "fold", "tp", "tn", "fp", "fn", *EVAL_RATES],
                   [[name, report.fold, report.tp, report.tn, report.fp, report.fn,
                     report.sensitivity_pct, report.specificity_pct, report.macc_pct]])
@@ -279,6 +267,8 @@ def cmd_report(args, out: Path) -> None:
                 raise DataError(f"{key[0]} fold {key[1]} is in both {source[key]} and {path}")
             source[key] = path
             by_config.setdefault(row["config"], []).append(row)
+    if not by_config:
+        raise DataError(f"no eval rows in the eval CSV files under {runs}")
     summary = {}
     rows = []
     for name in sorted(by_config):
@@ -339,8 +329,7 @@ def cmd_analyze(args, out: Path) -> None:
     dat.write_output(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True))
 
 
-def _label_ltsa(store: dat.CycleStore, label: int, window_len: int = 1024,
-                hop: int = 512):
+def _label_ltsa(store: dat.CycleStore, label: int):
     """Average LTSA over the recordings of one label (padding stripped)."""
     groups: dict[str, list[int]] = {}
     for i, (rid, lab) in enumerate(zip(store.recording_ids, store.labels)):
@@ -352,9 +341,9 @@ def _label_ltsa(store: dat.CycleStore, label: int, window_len: int = 1024,
     for rid in sorted(groups):
         parts = [store.samples[i][: store.valid_lens[i]] for i in groups[rid]]
         signal = np.concatenate(parts)
-        if signal.size < window_len:
+        if signal.size < LTSA_WINDOW:
             continue
-        prof = ltsa(Waveform(signal, dat.PIPELINE_RATE_HZ), window_len, hop)
+        prof = ltsa(Waveform(signal, dat.PIPELINE_RATE_HZ))
         acc = prof.avg_log_magnitude_db if acc is None else acc + prof.avg_log_magnitude_db
         freq = prof.freq_hz
         count += 1
@@ -412,9 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one fold")
     t.add_argument("--cycles", required=True)
     t.add_argument("--folds", required=True)
-    t.add_argument("--fold", type=int, choices=range(4), required=True)
-    t.add_argument("--frontend", choices=sorted(FRONTEND_ALIASES), default="baseline")
-    t.add_argument("--init", choices=sorted(INIT_ALIASES), default="fir")
+    t.add_argument("--fold", type=int, choices=dat.VALIDATION_FOLDS, required=True)
+    t.add_argument("--frontend", choices=sorted(FRONTEND_ALIASES),
+                   default=mdl.FRONTENDS[mdl.NetworkConfig.frontend][0])
+    t.add_argument("--init", choices=sorted(INIT_ALIASES),
+                   default=mdl.INITS[mdl.NetworkConfig.init][0])
     t.add_argument("--trainable", action=argparse.BooleanOptionalAction, default=True)
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch-size", type=int)
@@ -427,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--cycles", required=True)
     e.add_argument("--folds", required=True)
-    e.add_argument("--fold", type=int, choices=range(4), required=True)
+    e.add_argument("--fold", type=int, choices=dat.VALIDATION_FOLDS, required=True)
     e.add_argument("--config-name")
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_eval)

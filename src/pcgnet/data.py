@@ -41,8 +41,9 @@ PERIODICITY_MIN = 0.15      # min normalized envelope autocorrelation peak
 
 STORE_MAGIC = b"PCGCYC\x00\x01"
 
+VALIDATION_FOLDS = (0, 1, 2, 3)
 TRAIN_ONLY_FOLD = -1        # recordings kept out of every validation set
-FOLDS = (TRAIN_ONLY_FOLD, 0, 1, 2, 3)
+FOLDS = (TRAIN_ONLY_FOLD, *VALIDATION_FOLDS)
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,7 @@ def segment_cycles(x: Waveform, recording_id: str = "?", label: int = 0,
 
 def make_folds(metas: list[RecordingMeta], seed: int,
                pinned_fold0: list[str] | None = None) -> dict[str, int]:
-    """Assign recordings to 4 balanced validation folds.
+    """Assign recordings to the balanced VALIDATION_FOLDS.
 
     Every fold's validation set holds the same number of normal and
     abnormal recordings; leftovers get TRAIN_ONLY_FOLD and appear in every
@@ -366,7 +367,7 @@ def make_folds(metas: list[RecordingMeta], seed: int,
     labels = {m.id: m.label for m in metas}
     assignment = {m.id: TRAIN_ONLY_FOLD for m in metas}
 
-    folds_todo = [0, 1, 2, 3]
+    folds_todo = VALIDATION_FOLDS
     pool = sorted(by_id)
     if pinned_fold0 is not None:
         if not pinned_fold0:
@@ -382,7 +383,7 @@ def make_folds(metas: list[RecordingMeta], seed: int,
                             f"({n_pos} abnormal of {len(pinned_fold0)})")
         for r in pinned_fold0:
             assignment[r] = 0
-        folds_todo = [1, 2, 3]
+        folds_todo = VALIDATION_FOLDS[1:]
         pool = [r for r in pool if assignment[r] == TRAIN_ONLY_FOLD]
 
     rng = np.random.default_rng(seed)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DB_FLOOR = -120.0
+LTSA_WINDOW = 1024      # default LTSA window in samples; the default hop is half of it
 
 # Linear magnitude below which a spectral bin is treated as having no
 # usable phase (the bin's phase is carried from a neighbour instead).
@@ -113,7 +114,8 @@ def hamming(n: int) -> np.ndarray:
     return w
 
 
-def ltsa(x: Waveform, window_len: int = 1024, hop: int = 512) -> LtsaProfile:
+def ltsa(x: Waveform, window_len: int = LTSA_WINDOW,
+         hop: int = LTSA_WINDOW // 2) -> LtsaProfile:
     """Long-term spectral average: mean over windows of 20*log10|FFT|.
 
     Windows are Hamming-weighted, advanced by `hop`, and only full windows
@@ -128,14 +130,12 @@ def ltsa(x: Waveform, window_len: int = 1024, hop: int = 512) -> LtsaProfile:
     win = hamming(window_len)
     starts = range(0, n - window_len + 1, hop)
     acc = np.zeros(n_fft // 2 + 1)
-    count = 0
     for s in starts:
         seg = x.samples[s:s + window_len] * win
         mag = np.abs(np.fft.rfft(seg, n_fft))
         acc += magnitude_db(mag)
-        count += 1
     freqs = np.fft.rfftfreq(n_fft, 1.0 / x.sample_rate_hz)
-    return LtsaProfile(freq_hz=freqs, avg_log_magnitude_db=acc / count,
+    return LtsaProfile(freq_hz=freqs, avg_log_magnitude_db=acc / len(starts),
                        window_len=window_len, hop=hop)
 
 

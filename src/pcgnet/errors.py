@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the type check of the
 config dataclasses.
 
-The CLI maps these onto exit codes: usage problems exit 2 (argparse),
-DataError exits 3, NumericalAbort exits 4.
+The CLI maps these onto exit codes: argparse's usage errors and every
+ValueError exit 2, DataError exits 3, NumericalAbort exits 4.
 """
 
 from __future__ import annotations

@@ -65,10 +65,8 @@ class TConvLayer:
         if k_len % 2 == 0:
             raise ValueError("kernel length must be odd")
         self.variant = variant
-        self.trainable = bool(trainable)
-        self.bands = bands
         self.name, shape = param_spec(variant, bands, k_len)
-        self.param = ad.Tensor(kernel[:, :, :shape[2]].copy(), requires_grad=self.trainable)
+        self.param = ad.Tensor(kernel[:, :, :shape[2]].copy(), requires_grad=trainable)
 
     def materialized_kernel(self) -> ad.Tensor:
         """Full kernel as a graph node (mirroring the LP half if needed)."""
@@ -79,7 +77,7 @@ class TConvLayer:
         return ad.concat([self.param, mirror], axis=2)
 
     def parameters(self) -> list[tuple[str, ad.Tensor]]:
-        return [(self.name, self.param)] if self.trainable else []
+        return [(self.name, self.param)] if self.param.requires_grad else []
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         """All stored arrays, trainable or not (for checkpointing)."""
@@ -98,4 +96,4 @@ class TConvLayer:
         z = ad.conv1d(x, kern, padding="same")
         if self.variant != "zero_phase":
             return z
-        return ad.conv1d(z, ad.flip_time(kern), padding="same", groups=self.bands)
+        return ad.conv1d(z, ad.flip_time(kern), padding="same", groups=self.param.shape[0])

@@ -44,9 +44,13 @@ from .errors import CheckpointError, check_field_types
 from .fir import DEFAULT_ORDER, FilterBank, default_bank
 from .frontend import TConvLayer, init_kernel, param_spec
 
-FRONTENDS = ("external_fir", "tconv_free", "tconv_lp", "tconv_zp")
-INITS = ("fir_bank", "random", "zeros")
-_VARIANT_OF = {"tconv_free": "free", "tconv_lp": "linear_phase", "tconv_zp": "zero_phase"}
+# NetworkConfig.frontend -> (--frontend alias, report name, TConvLayer variant)
+FRONTENDS = {"external_fir": ("baseline", "baseline", None),
+             "tconv_free": ("tconv", "tconv", "free"),
+             "tconv_lp": ("lp", "lp-tconv", "linear_phase"),
+             "tconv_zp": ("zp", "zp-tconv", "zero_phase")}
+# NetworkConfig.init -> (--init alias, report name)
+INITS = {"fir_bank": ("fir", "fir"), "random": ("random", "rand"), "zeros": ("zeros", "zeros")}
 
 CKPT_MAGIC = b"PCGNET\x00\x01"
 CKPT_VERSION = 1
@@ -71,10 +75,10 @@ class NetworkConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.frontend not in FRONTENDS:
-            raise ValueError(f"unknown frontend {self.frontend!r}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}; expected one of {', '.join(INITS)}")
+        for key, allowed in (("frontend", FRONTENDS), ("init", INITS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}; expected one of {', '.join(allowed)}")
         if self.frontend == "external_fir" and self.init == "zeros":
             raise ValueError("zeros init is meaningless for the external_fir frontend")
         if self.bands != 4 or self.branch_kernel != 5 or self.conv1_filters != 8 \
@@ -97,6 +101,16 @@ class NetworkConfig:
             raise ValueError(f"l2_conv must be >= 0, got {self.l2_conv!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def config_name(cfg: NetworkConfig) -> str:
+    """Report name of a configuration, the `config` column of eval.csv."""
+    _, kind, variant = FRONTENDS[cfg.frontend]
+    if variant is None:     # the fixed bank has no init and is never trained
+        return kind
+    if not cfg.frontend_trainable:
+        return f"{kind}-nonlearn"
+    return f"{kind}-{INITS[cfg.init][1]}"
 
 
 def branch_feature_len(input_len: int, kernel: int = 5, pool: int = 2) -> int:
@@ -151,7 +165,7 @@ class _Branch:
 class Network:
     config: NetworkConfig
     frontend: TConvLayer | None
-    bank: FilterBank | None        # used by the external_fir decomposition
+    bank: FilterBank | None        # external_fir only: the bank decompose filters with
     stage1: _Stage
     stage2: _Stage
     head_w1: ad.Tensor
@@ -298,10 +312,9 @@ def build(config: NetworkConfig) -> Network:
     streams = np.random.SeedSequence(cfg.seed).spawn(6)
     k = cfg.branch_kernel
 
-    bank = None
+    bank = frontend = None
     if cfg.init == "fir_bank" or cfg.frontend == "external_fir":
         bank = default_bank(PIPELINE_RATE_HZ, cfg.kernel_len - 1)
-    frontend = None
     if cfg.frontend != "external_fir":
         shape = (cfg.bands, 1, cfg.kernel_len)
         if cfg.init == "fir_bank":
@@ -310,7 +323,7 @@ def build(config: NetworkConfig) -> Network:
             kern = np.zeros(shape)
         else:
             kern = _he_normal(np.random.default_rng(streams[0]), shape, cfg.kernel_len)
-        frontend = TConvLayer(_VARIANT_OF[cfg.frontend], kern, trainable=cfg.frontend_trainable)
+        frontend = TConvLayer(FRONTENDS[cfg.frontend][2], kern, trainable=cfg.frontend_trainable)
 
     # each branch draws its kernels from its own stream, then the stages
     # stack them branch-major
@@ -324,7 +337,7 @@ def build(config: NetworkConfig) -> Network:
     rng = np.random.default_rng(streams[5])
     width = flatten_width(cfg)
     return Network(
-        config=cfg, frontend=frontend, bank=bank,
+        config=cfg, frontend=frontend, bank=bank if frontend is None else None,
         stage1=_stage(np.concatenate(w1)), stage2=_stage(np.concatenate(w2)),
         head_w1=ad.parameter(_he_normal(rng, (width, cfg.hidden), width)),
         head_b1=ad.parameter(np.zeros(cfg.hidden)),
@@ -439,6 +452,6 @@ def _config_sized_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]
     pool, kernel_len); every other shape is fixed by the branch topology."""
     out = [("head.w1", (flatten_width(cfg), cfg.hidden))]
     if cfg.frontend != "external_fir":
-        out.append(param_spec(_VARIANT_OF[cfg.frontend], cfg.bands, cfg.kernel_len))
+        out.append(param_spec(FRONTENDS[cfg.frontend][2], cfg.bands, cfg.kernel_len))
     return out
 

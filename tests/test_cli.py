@@ -753,6 +753,18 @@ class TestReport:
         assert main(["report", "--runs", str(tmp_path / "runs"),
                      "--out", str(tmp_path / "out")]) == 3
 
+    def test_header_only_eval_csv_is_data_error(self, tmp_path, capsys):
+        # an eval CSV without rows gives no report, not an empty one
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        with open(runs / "eval.csv", "w", newline="") as fh:
+            csv.writer(fh).writerow(EVAL_HEADER)
+        capsys.readouterr()
+        assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_deterministic_ordering(self, tmp_path):
         runs = tmp_path / "runs"
         runs.mkdir()

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import pcgnet.autodiff as ad
+from pcgnet.cli import FRONTEND_ALIASES, INIT_ALIASES, build_parser
 from pcgnet.errors import CheckpointError
-from pcgnet.model import (CKPT_MAGIC, Network, NetworkConfig, aggregate_recording,
-                          branch_feature_len, build, flatten_width, load, save)
+from pcgnet.model import (CKPT_MAGIC, FRONTENDS, INITS, Network, NetworkConfig,
+                          aggregate_recording, branch_feature_len, build, config_name,
+                          flatten_width, load, save)
 
-from _reference import branch_loop_forward, branch_states
+from _reference import REFERENCE_ROWS, branch_loop_forward, branch_states
 
 
 def shape_oracle(input_len, kernel=5, pool=2):
@@ -443,3 +445,51 @@ class TestL2Penalty:
         ad.backward(pen)
         for w in (net.stage1.w, net.stage2.w):
             assert np.abs(w.grad - 2 * 0.0486 * w.data).max() < 1e-12
+
+
+class TestFrontendFamily:
+    # (frontend, init, frontend_trainable) of each reference row
+    ROW_CONFIGS = {
+        "baseline": ("external_fir", "fir_bank", True),
+        "tconv-nonlearn": ("tconv_free", "fir_bank", False),
+        "tconv-fir": ("tconv_free", "fir_bank", True),
+        "lp-tconv-fir": ("tconv_lp", "fir_bank", True),
+        "zp-tconv-fir": ("tconv_zp", "fir_bank", True),
+        "lp-tconv-rand": ("tconv_lp", "random", True),
+    }
+
+    def test_reference_rows_are_report_names(self):
+        assert set(self.ROW_CONFIGS) == set(REFERENCE_ROWS)
+        for name, (frontend, init, trainable) in self.ROW_CONFIGS.items():
+            cfg = NetworkConfig(frontend=frontend, init=init, frontend_trainable=trainable)
+            assert config_name(cfg) == name
+
+    def test_every_alias_names_a_config_value(self):
+        for alias, value in FRONTEND_ALIASES.items():
+            assert NetworkConfig(frontend=value).frontend == value, alias
+        for alias, value in INIT_ALIASES.items():
+            assert NetworkConfig(frontend="tconv_free", init=value).init == value, alias
+
+    def test_every_config_value_has_one_alias(self):
+        assert sorted(FRONTEND_ALIASES.values()) == sorted(FRONTENDS)
+        assert sorted(INIT_ALIASES.values()) == sorted(INITS)
+
+    def test_cli_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--cycles", "c", "--folds", "f",
+                                          "--fold", "0", "--out", "o"])
+        assert FRONTEND_ALIASES[args.frontend] == NetworkConfig.frontend
+        assert INIT_ALIASES[args.init] == NetworkConfig.init
+        assert args.trainable is NetworkConfig.frontend_trainable
+
+    def test_unknown_frontend_lists_the_allowed_values(self):
+        with pytest.raises(ValueError, match="expected one of external_fir, tconv_free, "
+                                             "tconv_lp, tconv_zp"):
+            NetworkConfig(frontend="tconv")
+
+    def test_only_the_external_fir_network_keeps_the_bank(self):
+        assert build(NetworkConfig(frontend="external_fir", input_len=100)).bank is not None
+        for frontend in ("tconv_free", "tconv_lp", "tconv_zp"):
+            net = build(NetworkConfig(frontend=frontend, init="fir_bank", input_len=100))
+            assert net.bank is None
+            with pytest.raises(ValueError, match="no fixed filter bank"):
+                net.decompose(np.zeros((1, 100)))

@@ -1,0 +1,80 @@
+"""Each front-end decision and the fold list have one owner module.
+
+pcgnet.model spells the front-end family: the NetworkConfig values of
+`frontend` and `init` and their CLI aliases, in FRONTENDS and INITS.
+Every other module reads them from there. pcgnet.data spells the
+validation folds (VALIDATION_FOLDS), so the CLI takes its --fold choices
+from it instead of a range of its own.
+
+This scans the source of src/pcgnet/*.py, docstrings skipped, so a second
+copy fails here even if no test runs the path that holds it.
+"""
+
+import ast
+from pathlib import Path
+
+from pcgnet.model import FRONTENDS, INITS
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pcgnet"
+
+CONFIG_VALUES = {"external_fir", "tconv_free", "tconv_lp", "tconv_zp",
+                 "fir_bank", "random", "zeros"}
+CLI_ALIASES = {"baseline", "tconv", "lp", "zp", "fir"}
+OWNER = "model"
+
+
+def _docstrings(tree) -> set[int]:
+    """ids of the docstring nodes of a module and its classes and functions."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                out.add(id(first.value))
+    return out
+
+
+def stray_sites(src: Path = SRC) -> list[str]:
+    """`module:line what` of every front-end literal outside the owner
+    module and of every `choices=range(...)`."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docs and path.stem != OWNER):
+                if node.value in CONFIG_VALUES:
+                    out.append(f"{path.stem}:{node.lineno} config value {node.value!r}")
+                elif node.value in CLI_ALIASES:
+                    out.append(f"{path.stem}:{node.lineno} CLI alias {node.value!r}")
+            elif (isinstance(node, ast.keyword) and node.arg == "choices"
+                  and isinstance(node.value, ast.Call)
+                  and isinstance(node.value.func, ast.Name) and node.value.func.id == "range"):
+                out.append(f"{path.stem}:{node.value.lineno} choices=range(...)")
+    return out
+
+
+def test_scan_lists_cover_the_model_tables():
+    assert CONFIG_VALUES == set(FRONTENDS) | set(INITS)
+    aliases = {a for a, *_ in FRONTENDS.values()} | {a for a, _ in INITS.values()}
+    # "random" and "zeros" are their own aliases, so they count as config values
+    assert CLI_ALIASES == aliases - CONFIG_VALUES
+
+
+def test_front_end_names_and_fold_choices_have_one_owner():
+    stray = stray_sites()
+    assert not stray, "a second copy of a model.py or data.py decision:\n" + "\n".join(stray)
+
+
+def test_scan_sees_each_kind_of_site(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Docstrings may name external_fir and lp."""\n'
+        "def f(p):\n"
+        '    """Nor is "zp" here."""\n'
+        '    p.add_argument("--fold", choices=range(4))\n'
+        '    return {"lp": "tconv_lp"}, "help", "lp-tconv"\n')
+    (tmp_path / f"{OWNER}.py").write_text('FRONTENDS = {"tconv_lp": ("lp",)}\n')
+    assert stray_sites(tmp_path) == [
+        "m:4 choices=range(...)", "m:5 CLI alias 'lp'", "m:5 config value 'tconv_lp'"]
