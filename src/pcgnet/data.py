@@ -11,7 +11,17 @@ segmentation quality is out of scope here.
 Every file the package reads comes in through `read_input` and every file
 it writes goes out through `write_output`; inside a `logged_io()` block the
 two record each path with the sha256 of the bytes read or written, which is
-how a command's manifest learns its inputs and outputs.
+how a command's manifest learns its inputs and outputs. `read_input` reads
+regular files only: a FIFO or a device could block or never end.
+
+The digest thread: an input of DIGEST_THREAD_BYTES (1 MiB) or more, a
+cycle store or a checkpoint, is hashed on one thread, started the first
+time it is needed, while the command goes on with the bytes; `logged_io`
+waits for those digests when its block ends, so the record is complete
+when the block returns. The thread runs `_sha256` only, no numpy work.
+Smaller inputs, a recording or a CSV, and every output are hashed inline:
+handing each of a corpus's WAVs to the thread cost more than it saved. A
+forked child starts a digest thread of its own, as it does a stage pool.
 """
 
 from __future__ import annotations
@@ -20,8 +30,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
 import struct
 import wave
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,22 +145,32 @@ def write_wav(path: str, x: Waveform) -> None:
     write_output(path, buf.getvalue())
 
 
-_io_log: tuple[dict[str, str], dict[str, str]] | None = None
+# Inputs of at least this many bytes are hashed on the digest thread.
+DIGEST_THREAD_BYTES = 1 << 20
+
+_io_log: tuple[dict[str, str | Future], dict[str, str]] | None = None
+_digester: ThreadPoolExecutor | None = None
 
 
 @contextmanager
 def logged_io():
     """Record the files read and written inside the block: yields the
     (inputs, outputs) dicts that `read_input` and `write_output` fill with
-    str(Path(path)) -> sha256 of the bytes read or written. Outside such a
-    block nothing is recorded."""
+    str(Path(path)) -> sha256 of the bytes read or written. Inside the
+    block an input's value may still be a Future of the digest thread; on
+    the way out, error or not, each is replaced by its digest. Outside such
+    a block nothing is recorded."""
     global _io_log
     previous = _io_log
     _io_log = ({}, {})
     try:
         yield _io_log
     finally:
+        inputs = _io_log[0]
         _io_log = previous
+        for path, digest in inputs.items():
+            if isinstance(digest, Future):
+                inputs[path] = digest.result()
 
 
 def _sha256(*chunks) -> str:
@@ -157,17 +180,48 @@ def _sha256(*chunks) -> str:
     return h.hexdigest()
 
 
+def _digest_later(blob: bytes) -> Future:
+    """sha256 of `blob`, computed on the digest thread."""
+    global _digester
+    if _digester is None:
+        _digester = ThreadPoolExecutor(1, thread_name_prefix="pcgnet-digest")
+    return _digester.submit(_sha256, blob)
+
+
+def _drain_digests() -> None:
+    """Wait until the digest thread has nothing queued, so that no digest
+    is in flight when the process forks: a child could never finish it."""
+    if _digester is not None:
+        _digester.submit(int).result()
+
+
+def _forget_digester() -> None:
+    """A forked child has no digest thread: it starts one when it needs one."""
+    global _digester
+    _digester = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_drain_digests, after_in_child=_forget_digester)
+
+
 def read_input(path, error: type[Exception] = DataError) -> bytes:
     """The bytes of one input file, the one place the package opens a file
-    it reads; a file that cannot be read (missing, a directory) raises `error`.
-    Inside `logged_io` the path and the bytes' sha256 are an input."""
+    it reads; a path that cannot be read (missing, a directory, a FIFO or a
+    device) raises `error`. The type is checked before the file is opened,
+    since opening a FIFO blocks until a writer comes. Inside `logged_io` the
+    path and the bytes' sha256 are an input; the digest of DIGEST_THREAD_BYTES
+    or more is taken on the digest thread."""
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise error(f"cannot read {path}: not a regular file")
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as e:
         raise error(f"cannot read {path}: {e}") from None
     if _io_log is not None:
-        _io_log[0][str(Path(path))] = _sha256(blob)
+        big = len(blob) >= DIGEST_THREAD_BYTES
+        _io_log[0][str(Path(path))] = _digest_later(blob) if big else _sha256(blob)
     return blob
 
 

@@ -161,6 +161,9 @@ class _Branch:
     bn2_var: np.ndarray
 
 
+_BRANCH_BLOBS = tuple(f.name.replace("_", ".", 1) for f in fields(_Branch))
+
+
 @dataclass
 class Network:
     config: NetworkConfig
@@ -209,8 +212,8 @@ class Network:
         if self.frontend is not None:
             out.extend(self.frontend.state_arrays())
         for i, br in enumerate(self.branches):
-            out.extend((f"branch{i}." + f.name.replace("_", ".", 1), getattr(br, f.name))
-                       for f in fields(br))
+            out.extend((f"branch{i}.{name}", getattr(br, f.name))
+                       for name, f in zip(_BRANCH_BLOBS, fields(br)))
         out.extend([("head.w1", self.head_w1.data), ("head.b1", self.head_b1.data),
                     ("head.w2", self.head_w2.data), ("head.b2", self.head_b2.data)])
         return out
@@ -308,49 +311,84 @@ def build(config: NetworkConfig) -> Network:
     seed get identical branch and head parameters regardless of the
     front-end choice.
     """
-    cfg = config
-    streams = np.random.SeedSequence(cfg.seed).spawn(6)
-    k = cfg.branch_kernel
+    return _assemble(config, _initial_blobs(config))
 
-    bank = frontend = None
-    if cfg.init == "fir_bank" or cfg.frontend == "external_fir":
-        bank = default_bank(PIPELINE_RATE_HZ, cfg.kernel_len - 1)
-    if cfg.frontend != "external_fir":
+
+def _initial_blobs(cfg: NetworkConfig) -> dict[str, np.ndarray]:
+    """The arrays of a new network by checkpoint name: He-normal branch and
+    head kernels, the front-end kernel its `init` makes, zero biases, betas
+    and running means, unit gammas and running variances."""
+    streams = np.random.SeedSequence(cfg.seed).spawn(6)
+    k, c1, c2 = cfg.branch_kernel, cfg.conv1_filters, cfg.conv2_filters
+    blobs: dict[str, np.ndarray] = {}
+    variant = FRONTENDS[cfg.frontend][2]
+    if variant is not None:
         shape = (cfg.bands, 1, cfg.kernel_len)
         if cfg.init == "fir_bank":
-            kern = init_kernel(bank, shape)
+            kern = init_kernel(default_bank(PIPELINE_RATE_HZ, cfg.kernel_len - 1), shape)
         elif cfg.init == "zeros":
             kern = np.zeros(shape)
         else:
             kern = _he_normal(np.random.default_rng(streams[0]), shape, cfg.kernel_len)
-        frontend = TConvLayer(FRONTENDS[cfg.frontend][2], kern, trainable=cfg.frontend_trainable)
-
-    # each branch draws its kernels from its own stream, then the stages
-    # stack them branch-major
-    c1, c2 = cfg.conv1_filters, cfg.conv2_filters
-    w1, w2 = [], []
+        name, (_, _, taps) = param_spec(variant, cfg.bands, cfg.kernel_len)
+        blobs[name] = kern[:, :, :taps]
+    # each branch draws its kernels from its own stream
     for i in range(cfg.bands):
         rng = np.random.default_rng(streams[1 + i])
-        w1.append(_he_normal(rng, (c1, 1, k), k))
-        w2.append(_he_normal(rng, (c2, c1, k), c1 * k))
-
+        blobs[f"branch{i}.w1"] = _he_normal(rng, (c1, 1, k), k)
+        blobs[f"branch{i}.w2"] = _he_normal(rng, (c2, c1, k), c1 * k)
     rng = np.random.default_rng(streams[5])
     width = flatten_width(cfg)
-    return Network(
-        config=cfg, frontend=frontend, bank=bank if frontend is None else None,
-        stage1=_stage(np.concatenate(w1)), stage2=_stage(np.concatenate(w2)),
-        head_w1=ad.parameter(_he_normal(rng, (width, cfg.hidden), width)),
-        head_b1=ad.parameter(np.zeros(cfg.hidden)),
-        head_w2=ad.parameter(_he_normal(rng, (cfg.hidden, 1), cfg.hidden)),
-        head_b2=ad.parameter(np.zeros(1)),
-    )
+    blobs["head.w1"] = _he_normal(rng, (width, cfg.hidden), width)
+    blobs["head.w2"] = _he_normal(rng, (cfg.hidden, 1), cfg.hidden)
+    for name, shape in _blob_shapes(cfg):
+        if name not in blobs:
+            blobs[name] = (np.ones if name.endswith(("gamma", "var")) else np.zeros)(shape)
+    return blobs
 
 
-def _stage(w: np.ndarray) -> _Stage:
-    c = w.shape[0]
-    return _Stage(w=ad.parameter(w), b=ad.parameter(np.zeros(c)),
-                  gamma=ad.parameter(np.ones(c)), beta=ad.parameter(np.zeros(c)),
-                  state=ad.BatchNormState(c))
+def _assemble(cfg: NetworkConfig, blobs: dict[str, np.ndarray]) -> Network:
+    """The network of `cfg` around `blobs`, every stored array by its
+    checkpoint name and shape (`_blob_shapes`): `build` passes the initial
+    arrays, `load` the stored ones. The stages stack the branch arrays
+    branch-major; the external_fir bank, which is not stored, is designed
+    here."""
+    variant = FRONTENDS[cfg.frontend][2]
+    frontend = bank = None
+    if variant is None:
+        bank = default_bank(PIPELINE_RATE_HZ, cfg.kernel_len - 1)
+    else:
+        kern = blobs[param_spec(variant, cfg.bands, cfg.kernel_len)[0]]
+        if variant == "linear_phase":   # the layer keeps the leading half of a full kernel
+            kern = np.concatenate([kern, kern[:, :, -2::-1]], axis=2)
+        frontend = TConvLayer(variant, kern, trainable=cfg.frontend_trainable)
+    stages = []
+    for names in (_BRANCH_BLOBS[:6], _BRANCH_BLOBS[6:]):
+        w, b, gamma, beta, mean, var = (
+            np.concatenate([blobs[f"branch{i}.{n}"] for i in range(cfg.bands)]) for n in names)
+        state = ad.BatchNormState(b.size)
+        state.mean, state.var = mean, var
+        stages.append(_Stage(w=ad.parameter(w), b=ad.parameter(b), gamma=ad.parameter(gamma),
+                             beta=ad.parameter(beta), state=state))
+    return Network(config=cfg, frontend=frontend, bank=bank, stage1=stages[0], stage2=stages[1],
+                   head_w1=ad.parameter(blobs["head.w1"]), head_b1=ad.parameter(blobs["head.b1"]),
+                   head_w2=ad.parameter(blobs["head.w2"]), head_b2=ad.parameter(blobs["head.b2"]))
+
+
+def _blob_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every array a network of `cfg` stores, in
+    checkpoint order (`Network._blobs`)."""
+    out = []
+    variant = FRONTENDS[cfg.frontend][2]
+    if variant is not None:
+        out.append(param_spec(variant, cfg.bands, cfg.kernel_len))
+    k, c1, c2 = cfg.branch_kernel, cfg.conv1_filters, cfg.conv2_filters
+    branch = [(c1, 1, k), *[(c1,)] * 5, (c2, c1, k), *[(c2,)] * 5]
+    out.extend((f"branch{i}.{name}", shape) for i in range(cfg.bands)
+               for name, shape in zip(_BRANCH_BLOBS, branch))
+    out.extend([("head.w1", (flatten_width(cfg), cfg.hidden)), ("head.b1", (cfg.hidden,)),
+                ("head.w2", (cfg.hidden, 1)), ("head.b2", (1,))])
+    return out
 
 
 def aggregate_recording(cycle_probs) -> tuple[float, int]:
@@ -425,33 +463,18 @@ def load(path: str) -> Network:
             raise CheckpointError(f"blob {name} holds NaN or Inf")
         blobs[name] = arr.reshape(shape).copy()
 
-    # the arrays whose size the config sets must be the ones stored, or
-    # build(cfg) would allocate whatever a corrupt config asks for
-    for name, shape in _config_sized_shapes(cfg):
-        if name not in blobs or blobs[name].shape != shape:
-            raise CheckpointError(f"config implies {name} of shape {shape}, checkpoint "
-                                  f"holds {blobs[name].shape if name in blobs else 'none'}")
-    net = build(cfg)
-    expected = [name for name, _ in net._blobs()]
+    # every stored array must be the one the config implies, by name and
+    # shape, before a network is assembled around them
+    expected = dict(_blob_shapes(cfg))
     if set(expected) != set(blobs):
         missing = set(expected) - set(blobs)
         extra = set(blobs) - set(expected)
         raise CheckpointError(f"checkpoint blob mismatch: missing {sorted(missing)}, "
                               f"unexpected {sorted(extra)}")
-    for name, arr in net._blobs():
-        if blobs[name].shape != arr.shape:
+    for name, shape in expected.items():
+        if blobs[name].shape != shape:
             raise CheckpointError(f"blob {name} has shape {blobs[name].shape}, "
-                                  f"expected {arr.shape}")
-    net.restore(blobs)
+                                  f"config implies {shape}")
+    net = _assemble(cfg, blobs)
     net.step = step
     return net
-
-
-def _config_sized_shapes(cfg: NetworkConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Stored arrays whose shapes follow from config values (input_len,
-    pool, kernel_len); every other shape is fixed by the branch topology."""
-    out = [("head.w1", (flatten_width(cfg), cfg.hidden))]
-    if cfg.frontend != "external_fir":
-        out.append(param_spec(FRONTENDS[cfg.frontend][2], cfg.bands, cfg.kernel_len))
-    return out
-

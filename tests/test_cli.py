@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pcgnet import autodiff as ad
+from pcgnet import data as dat
 from pcgnet import training as trn
 from pcgnet.cli import main
 from pcgnet.data import (MIN_CYCLE_LEN, STORE_MAGIC, CycleStore, read_fold_manifest,
@@ -332,6 +333,46 @@ class TestInputFiles:
         assert f"cannot read {bad}" in err[0]
 
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("kind", ["labels", "cycles"])
+    def test_fifo_in_place_of_an_input_is_one_line(self, pipeline, tmp_path, kind):
+        # opening a FIFO with no writer blocks: run the command in its own
+        # process, so a hang fails this test instead of stalling the suite
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        if kind == "labels":
+            argv = ["ingest", "--wav-dir", str(pipeline / "data" / "wav"), "--labels", str(fifo)]
+        else:
+            ckpt = tmp_path / "m.ckpt"
+            save(build(NetworkConfig(input_len=100)), str(ckpt))
+            argv = ["eval", "--ckpt", str(ckpt), "--cycles", str(fifo),
+                    "--folds", str(pipeline / "folds" / "folds.csv"), "--fold", "0"]
+        done = subprocess.run([sys.executable, "-m", "pcgnet.cli", *argv,
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=30)
+        err = done.stderr.strip().splitlines()
+        assert done.returncode == 3
+        assert err == [f"data error: cannot read {fifo}: not a regular file"]
+        assert not (tmp_path / "out").exists()
+
+    def test_failure_after_a_large_input_is_one_line(self, pipeline, tmp_path, capsys):
+        # eval reads the store (over the digest floor) before the bad fold file
+        store = pipeline / "store" / "cycles.bin"
+        assert store.stat().st_size >= dat.DIGEST_THREAD_BYTES
+        ckpt = tmp_path / "m.ckpt"
+        save(build(NetworkConfig(input_len=100)), str(ckpt))
+        bad = tmp_path / "folds.csv"
+        bad.write_text("id,fold\nrec0000,9\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt), "--cycles", str(store), "--folds", str(bad),
+                     "--fold", "0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not out.exists()
+        assert dat._io_log is None
+
+
 class TestOutputs:
     @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file",
                                       "artifact_is_a_directory"])
@@ -379,6 +420,23 @@ class TestOutputs:
         assert set(manifest["inputs"]) == {str(labels), *(str(tmp_path / "wav" / w.name)
                                                           for w in wavs)}
         assert set(manifest["outputs"]) == {str(out / "cycles.bin")}
+
+    def test_manifest_digests_of_large_inputs(self, pipeline, tmp_path):
+        # the store and the checkpoint are hashed on the digest thread
+        store = pipeline / "store" / "cycles.bin"
+        folds = pipeline / "folds" / "folds.csv"
+        run, ev = tmp_path / "run", tmp_path / "ev"
+        common = ["--cycles", str(store), "--folds", str(folds), "--fold", "0"]
+        assert main(["train", *common, "--frontend", "lp", "--epochs", "0",
+                     "--out", str(run)]) == 0
+        assert main(["eval", *common, "--ckpt", str(run / "checkpoint.ckpt"),
+                     "--out", str(ev)]) == 0
+        for out, inputs in ((run, (store, folds)),
+                            (ev, (run / "checkpoint.ckpt", store, folds))):
+            assert self.checked_manifest(out)["inputs"] == {
+                str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+        assert store.stat().st_size >= dat.DIGEST_THREAD_BYTES
+        assert (run / "checkpoint.ckpt").stat().st_size >= dat.DIGEST_THREAD_BYTES
 
     def test_manifest_lists_what_report_read_and_wrote(self, tmp_path):
         runs = tmp_path / "runs"

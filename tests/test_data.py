@@ -1,12 +1,17 @@
 import csv
 import hashlib
+import os
+import signal
 import struct
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from pcgnet.data import (CYCLE_LEN, ByteCursor, CycleRecord, CycleStore, RecordingMeta,
+from pcgnet import data
+from pcgnet.data import (CYCLE_LEN, DIGEST_THREAD_BYTES, ByteCursor, CycleRecord, CycleStore, RecordingMeta,
                          SegmentationError, TRAIN_ONLY_FOLD, load_recording,
                          make_folds, read_fold_manifest, read_label_manifest,
                          logged_io, read_input, segment_cycles, synth_pcg, write_csv,
@@ -330,6 +335,70 @@ class TestLoggedIo:
         for path in (tmp_path / "file" / "out.csv", tmp_path):
             with pytest.raises(DataError, match=f"cannot write {path}"):
                 write_output(path, b"x")
+
+
+class TestDigestThread:
+    """Inputs of DIGEST_THREAD_BYTES or more are hashed on the digest
+    thread; logged_io holds each digest by the time its block returns."""
+
+    @staticmethod
+    def _files(tmp_path):
+        big = tmp_path / "big.bin"
+        big.write_bytes(np.random.default_rng(1).bytes(DIGEST_THREAD_BYTES))
+        small = tmp_path / "small.bin"
+        small.write_bytes(b"x" * (DIGEST_THREAD_BYTES - 1))
+        return big, small
+
+    def test_large_input_is_hashed_on_the_thread(self, tmp_path):
+        big, small = self._files(tmp_path)
+        with logged_io() as (inputs, _):
+            read_input(big)
+            read_input(small)
+            assert isinstance(inputs[str(big)], Future)
+            assert inputs[str(small)] == hashlib.sha256(small.read_bytes()).hexdigest()
+        assert inputs == {str(big): hashlib.sha256(big.read_bytes()).hexdigest(),
+                          str(small): hashlib.sha256(small.read_bytes()).hexdigest()}
+
+    def test_digest_is_joined_when_the_block_fails(self, tmp_path):
+        big, _ = self._files(tmp_path)
+        with pytest.raises(DataError, match="after the read"):
+            with logged_io() as (inputs, _):
+                read_input(big)
+                raise DataError("after the read")
+        assert inputs == {str(big): hashlib.sha256(big.read_bytes()).hexdigest()}
+        assert data._io_log is None
+
+    def test_forked_child_hashes_on_its_own_thread(self, tmp_path):
+        # the child inherits the executor object but not its thread, so a
+        # digest queued there would never be taken; and a digest still in
+        # flight at the fork would never finish in the child, so the fork
+        # waits for it
+        big, _ = self._files(tmp_path)
+        huge = tmp_path / "huge.bin"
+        huge.write_bytes(np.random.default_rng(2).bytes(32 * DIGEST_THREAD_BYTES))
+        want = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (big, huge)}
+        with logged_io() as (inputs, _):
+            read_input(huge)        # starts the digest thread here
+            pid = os.fork()
+            if pid == 0:
+                read_input(big)
+        if pid == 0:
+            os._exit(0 if inputs == want else 1)
+        assert inputs == {str(huge): want[str(huge)]}
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestRegularFilesOnly:
+    # a FIFO is tried in tests/test_cli.py, in a subprocess with a timeout
+    def test_directory_is_refused_with_the_given_class(self, tmp_path):
+        with pytest.raises(CursorError, match=f"cannot read {tmp_path}: not a regular file"):
+            read_input(tmp_path, CursorError)
 
 
 class CursorError(Exception):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pcgnet.autodiff as ad
+import pcgnet.model as mdl
 from pcgnet.cli import FRONTEND_ALIASES, INIT_ALIASES, build_parser
 from pcgnet.errors import CheckpointError
 from pcgnet.model import (CKPT_MAGIC, FRONTENDS, INITS, Network, NetworkConfig,
@@ -422,6 +423,77 @@ class TestCheckpoint:
         assert again.frontend.parameters() == []
         assert np.array_equal(again.frontend.param.data,
                               net.frontend.param.data)
+
+
+class TestLoadDrawsNothing:
+    """load assembles the network around the stored arrays: it draws no
+    initial weight and designs no bank that a stored array replaces."""
+
+    FIXTURE = Path(__file__).parent / "data" / "lp_len20.ckpt"
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load drew an array that the checkpoint replaces")
+        for name in names:
+            monkeypatch.setattr(mdl, name, refuse)
+
+    @pytest.mark.parametrize("frontend,init", [("tconv_lp", "fir_bank"),
+                                               ("tconv_zp", "random"),
+                                               ("tconv_free", "random")])
+    def test_tconv_checkpoint_loads_without_drawing(self, tmp_path, monkeypatch,
+                                                    frontend, init):
+        net = build(NetworkConfig(frontend=frontend, init=init, input_len=200, seed=4))
+        path = tmp_path / "m.ckpt"
+        save(net, str(path))
+        self._forbid(monkeypatch, "_he_normal", "default_bank")
+        again = load(str(path))
+        for (na, pa), (nb, pb) in zip(net._blobs(), again._blobs()):
+            assert na == nb and pa.tobytes() == pb.tobytes()
+
+    def test_external_fir_checkpoint_still_designs_its_bank(self, tmp_path, monkeypatch):
+        net = build(NetworkConfig(frontend="external_fir", input_len=200, seed=4))
+        path = tmp_path / "m.ckpt"
+        save(net, str(path))
+        self._forbid(monkeypatch, "_he_normal")
+        designed, design = [], mdl.default_bank
+        monkeypatch.setattr(mdl, "default_bank",
+                            lambda *a: designed.append(design(*a)) or designed[-1])
+        again = load(str(path))
+        assert len(designed) == 1 and again.bank is designed[0]
+        for want, got in zip(net.bank.filters, again.bank.filters):
+            assert want.coeffs.tobytes() == got.coeffs.tobytes()
+
+    @pytest.mark.parametrize("frontend", sorted(FRONTENDS))
+    def test_every_front_end_round_trips_bit_exactly(self, tmp_path, frontend):
+        net = build(NetworkConfig(frontend=frontend, init="random", input_len=200, seed=9))
+        # move every stored array off its initial value
+        rng = np.random.default_rng(3)
+        for _, arr in net._blobs():
+            arr += rng.uniform(0.5, 1.0, size=arr.shape)
+        net.step = 5
+        cycles = np.random.default_rng(4).normal(size=(3, 200))
+        path = tmp_path / "m.ckpt"
+        save(net, str(path))
+        again = load(str(path))
+        assert again.step == 5 and again.config == net.config
+        assert again.trainable_count() == net.trainable_count()
+        for (na, pa), (nb, pb) in zip(net._blobs(), again._blobs(), strict=True):
+            assert na == nb and pa.tobytes() == pb.tobytes()
+        assert again.forward(cycles).data.tobytes() == net.forward(cycles).data.tobytes()
+        save(again, str(tmp_path / "again.ckpt"))
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_committed_checkpoint_resaves_without_drawing(self, tmp_path, monkeypatch):
+        self._forbid(monkeypatch, "_he_normal", "default_bank")
+        path = tmp_path / "again.ckpt"
+        save(load(str(self.FIXTURE)), str(path))
+        assert path.read_bytes() == self.FIXTURE.read_bytes()
+
+    @pytest.mark.parametrize("frontend", sorted(FRONTENDS))
+    def test_blob_shapes_are_the_stored_arrays(self, frontend):
+        cfg = NetworkConfig(frontend=frontend, input_len=300, pool=3)
+        assert mdl._blob_shapes(cfg) == [(n, a.shape) for n, a in build(cfg)._blobs()]
 
 
 class TestL2Penalty:
