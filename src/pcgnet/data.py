@@ -14,7 +14,7 @@ two record each path with the sha256 of the bytes read or written, which is
 how a command's manifest learns its inputs and outputs. `read_input` reads
 regular files only: a FIFO or a device could block or never end.
 
-The digest thread: an input of DIGEST_THREAD_BYTES (1 MiB) or more, a
+The digest thread: an input of _DIGEST_THREAD_BYTES (1 MiB) or more, a
 cycle store or a checkpoint, is hashed on one thread, started the first
 time it is needed, while the command goes on with the bytes; `logged_io`
 waits for those digests when its block ends, so the record is complete
@@ -146,7 +146,7 @@ def write_wav(path: str, x: Waveform) -> None:
 
 
 # Inputs of at least this many bytes are hashed on the digest thread.
-DIGEST_THREAD_BYTES = 1 << 20
+_DIGEST_THREAD_BYTES = 1 << 20
 
 _io_log: tuple[dict[str, str | Future], dict[str, str]] | None = None
 _digester: ThreadPoolExecutor | None = None
@@ -210,7 +210,7 @@ def read_input(path, error: type[Exception] = DataError) -> bytes:
     it reads; a path that cannot be read (missing, a directory, a FIFO or a
     device) raises `error`. The type is checked before the file is opened,
     since opening a FIFO blocks until a writer comes. Inside `logged_io` the
-    path and the bytes' sha256 are an input; the digest of DIGEST_THREAD_BYTES
+    path and the bytes' sha256 are an input; the digest of _DIGEST_THREAD_BYTES
     or more is taken on the digest thread."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -220,7 +220,7 @@ def read_input(path, error: type[Exception] = DataError) -> bytes:
     except OSError as e:
         raise error(f"cannot read {path}: {e}") from None
     if _io_log is not None:
-        big = len(blob) >= DIGEST_THREAD_BYTES
+        big = len(blob) >= _DIGEST_THREAD_BYTES
         _io_log[0][str(Path(path))] = _digest_later(blob) if big else _sha256(blob)
     return blob
 

@@ -358,7 +358,7 @@ class TestInputFiles:
     def test_failure_after_a_large_input_is_one_line(self, pipeline, tmp_path, capsys):
         # eval reads the store (over the digest floor) before the bad fold file
         store = pipeline / "store" / "cycles.bin"
-        assert store.stat().st_size >= dat.DIGEST_THREAD_BYTES
+        assert store.stat().st_size >= dat._DIGEST_THREAD_BYTES
         ckpt = tmp_path / "m.ckpt"
         save(build(NetworkConfig(input_len=100)), str(ckpt))
         bad = tmp_path / "folds.csv"
@@ -435,8 +435,8 @@ class TestOutputs:
                             (ev, (run / "checkpoint.ckpt", store, folds))):
             assert self.checked_manifest(out)["inputs"] == {
                 str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
-        assert store.stat().st_size >= dat.DIGEST_THREAD_BYTES
-        assert (run / "checkpoint.ckpt").stat().st_size >= dat.DIGEST_THREAD_BYTES
+        assert store.stat().st_size >= dat._DIGEST_THREAD_BYTES
+        assert (run / "checkpoint.ckpt").stat().st_size >= dat._DIGEST_THREAD_BYTES
 
     def test_manifest_lists_what_report_read_and_wrote(self, tmp_path):
         runs = tmp_path / "runs"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pcgnet import data
-from pcgnet.data import (CYCLE_LEN, DIGEST_THREAD_BYTES, ByteCursor, CycleRecord, CycleStore, RecordingMeta,
+from pcgnet.data import (CYCLE_LEN, ByteCursor, CycleRecord, CycleStore, RecordingMeta,
                          SegmentationError, TRAIN_ONLY_FOLD, load_recording,
                          make_folds, read_fold_manifest, read_label_manifest,
                          logged_io, read_input, segment_cycles, synth_pcg, write_csv,
@@ -338,15 +338,15 @@ class TestLoggedIo:
 
 
 class TestDigestThread:
-    """Inputs of DIGEST_THREAD_BYTES or more are hashed on the digest
+    """Inputs of data._DIGEST_THREAD_BYTES or more are hashed on the digest
     thread; logged_io holds each digest by the time its block returns."""
 
     @staticmethod
     def _files(tmp_path):
         big = tmp_path / "big.bin"
-        big.write_bytes(np.random.default_rng(1).bytes(DIGEST_THREAD_BYTES))
+        big.write_bytes(np.random.default_rng(1).bytes(data._DIGEST_THREAD_BYTES))
         small = tmp_path / "small.bin"
-        small.write_bytes(b"x" * (DIGEST_THREAD_BYTES - 1))
+        small.write_bytes(b"x" * (data._DIGEST_THREAD_BYTES - 1))
         return big, small
 
     def test_large_input_is_hashed_on_the_thread(self, tmp_path):
@@ -375,7 +375,7 @@ class TestDigestThread:
         # waits for it
         big, _ = self._files(tmp_path)
         huge = tmp_path / "huge.bin"
-        huge.write_bytes(np.random.default_rng(2).bytes(32 * DIGEST_THREAD_BYTES))
+        huge.write_bytes(np.random.default_rng(2).bytes(32 * data._DIGEST_THREAD_BYTES))
         want = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (big, huge)}
         with logged_io() as (inputs, _):
             read_input(huge)        # starts the digest thread here

@@ -448,7 +448,7 @@ class TestLoadDrawsNothing:
         save(net, str(path))
         self._forbid(monkeypatch, "_he_normal", "default_bank")
         again = load(str(path))
-        for (na, pa), (nb, pb) in zip(net._blobs(), again._blobs()):
+        for (na, pa), (nb, pb) in zip(net._blobs(), again._blobs(), strict=True):
             assert na == nb and pa.tobytes() == pb.tobytes()
 
     def test_external_fir_checkpoint_still_designs_its_bank(self, tmp_path, monkeypatch):
@@ -456,9 +456,13 @@ class TestLoadDrawsNothing:
         path = tmp_path / "m.ckpt"
         save(net, str(path))
         self._forbid(monkeypatch, "_he_normal")
-        designed, design = [], mdl.default_bank
-        monkeypatch.setattr(mdl, "default_bank",
-                            lambda *a: designed.append(design(*a)) or designed[-1])
+        designed, original = [], mdl.default_bank
+
+        def default_bank(*args):
+            designed.append(original(*args))
+            return designed[-1]
+
+        monkeypatch.setattr(mdl, "default_bank", default_bank)
         again = load(str(path))
         assert len(designed) == 1 and again.bank is designed[0]
         for want, got in zip(net.bank.filters, again.bank.filters):
