@@ -16,17 +16,12 @@ regular files only: a FIFO or a device could block or never end.
 
 The digest thread: an input of _DIGEST_THREAD_BYTES (1 MiB) or more, a
 cycle store or a checkpoint, is hashed on one thread, started the first
-time it is needed, while the command goes on to parse the bytes. The
-next `read_input` waits for the digests still running, and `logged_io`
-for the rest when its block ends, so the record is complete when the
-block returns. Waiting at the next read frees a large input's bytes
-before the command, its inputs read, allocates its own arrays: held to
-the end of the block, they raised the peak RSS of perfbench's screen
-workload (a kept heap) on most seeds. The thread runs `_sha256` only, no
-numpy work. Smaller inputs, a recording or a CSV, and every output are
-hashed inline: handing each of a corpus's WAVs to the thread cost more
-than it saved. A forked child starts a digest thread of its own, as it
-does a stage pool.
+time it is needed, while the command goes on with the bytes; `logged_io`
+waits for those digests when its block ends, so the record is complete
+when the block returns. The thread runs `_sha256` only, no numpy work.
+Smaller inputs, a recording or a CSV, and every output are hashed inline:
+handing each of a corpus's WAVs to the thread cost more than it saved. A
+forked child starts a digest thread of its own, as it does a stage pool.
 """
 
 from __future__ import annotations
@@ -173,7 +168,9 @@ def logged_io():
     finally:
         inputs = _io_log[0]
         _io_log = previous
-        _join_digests(inputs)
+        for path, digest in inputs.items():
+            if isinstance(digest, Future):
+                inputs[path] = digest.result()
 
 
 def _sha256(*chunks) -> str:
@@ -189,13 +186,6 @@ def _digest_later(blob: bytes) -> Future:
     if _digester is None:
         _digester = ThreadPoolExecutor(1, thread_name_prefix="pcgnet-digest")
     return _digester.submit(_sha256, blob)
-
-
-def _join_digests(inputs: dict[str, str | Future]) -> None:
-    """Replace each digest still on the digest thread by its value."""
-    for path, digest in inputs.items():
-        if isinstance(digest, Future):
-            inputs[path] = digest.result()
 
 
 def _drain_digests() -> None:
@@ -221,10 +211,7 @@ def read_input(path, error: type[Exception] = DataError) -> bytes:
     device) raises `error`. The type is checked before the file is opened,
     since opening a FIFO blocks until a writer comes. Inside `logged_io` the
     path and the bytes' sha256 are an input; the digest of _DIGEST_THREAD_BYTES
-    or more is taken on the digest thread, and the digests still running
-    there are waited for first."""
-    if _io_log is not None:
-        _join_digests(_io_log[0])
+    or more is taken on the digest thread."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise error(f"cannot read {path}: not a regular file")
