@@ -15,10 +15,14 @@ how a command's manifest learns its inputs and outputs. `read_input` reads
 regular files only: a FIFO or a device could block or never end.
 
 The digest thread: an input of _DIGEST_THREAD_BYTES (1 MiB) or more, a
-cycle store or a checkpoint, is hashed on one thread, started the first
-time it is needed, while the command goes on with the bytes; `logged_io`
-waits for those digests when its block ends, so the record is complete
-when the block returns. The thread runs `_sha256` only, no numpy work.
+cycle store or a checkpoint, is read and hashed on one thread, started
+the first time it is needed: the command waits for the bytes and goes on
+with them while the thread hashes the same bytes; `logged_io` waits for
+those digests when its block ends, so the record is complete when the
+block returns. The bytes are allocated by the thread, so they live on its
+heap, apart from the arrays the command allocates: when the digest ends
+no longer changes where the command's arrays are placed. The thread
+reads files and runs `_sha256` only, no numpy work.
 Smaller inputs, a recording or a CSV, and every output are hashed inline:
 handing each of a corpus's WAVs to the thread cost more than it saved. A
 forked child starts a digest thread of its own, as it does a stage pool.
@@ -38,6 +42,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -180,12 +185,30 @@ def _sha256(*chunks) -> str:
     return h.hexdigest()
 
 
-def _digest_later(blob: bytes) -> Future:
-    """sha256 of `blob`, computed on the digest thread."""
+def _read_then_hash(fh, handoff: SimpleQueue) -> str:
+    """Read `fh` to its end, put the bytes (or the error) on `handoff`,
+    then return their sha256."""
+    try:
+        blob = fh.read()
+    except BaseException as e:
+        handoff.put(e)
+        raise
+    handoff.put(blob)
+    return _sha256(blob)
+
+
+def _digest_later(fh) -> tuple[bytes, Future]:
+    """The bytes of the open file `fh` and a Future of their sha256, both
+    taken on the digest thread."""
     global _digester
     if _digester is None:
         _digester = ThreadPoolExecutor(1, thread_name_prefix="pcgnet-digest")
-    return _digester.submit(_sha256, blob)
+    handoff = SimpleQueue()
+    digest = _digester.submit(_read_then_hash, fh, handoff)
+    blob = handoff.get()
+    if isinstance(blob, BaseException):
+        raise blob
+    return blob, digest
 
 
 def _drain_digests() -> None:
@@ -210,18 +233,22 @@ def read_input(path, error: type[Exception] = DataError) -> bytes:
     it reads; a path that cannot be read (missing, a directory, a FIFO or a
     device) raises `error`. The type is checked before the file is opened,
     since opening a FIFO blocks until a writer comes. Inside `logged_io` the
-    path and the bytes' sha256 are an input; the digest of _DIGEST_THREAD_BYTES
-    or more is taken on the digest thread."""
+    path and the bytes' sha256 are an input; a file of _DIGEST_THREAD_BYTES
+    or more is read and hashed on the digest thread."""
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode):
             raise error(f"cannot read {path}: not a regular file")
         with open(path, "rb") as fh:
-            blob = fh.read()
+            if _io_log is not None and st.st_size >= _DIGEST_THREAD_BYTES:
+                blob, digest = _digest_later(fh)
+            else:
+                blob = fh.read()
+                digest = None if _io_log is None else _sha256(blob)
     except OSError as e:
         raise error(f"cannot read {path}: {e}") from None
     if _io_log is not None:
-        big = len(blob) >= _DIGEST_THREAD_BYTES
-        _io_log[0][str(Path(path))] = _digest_later(blob) if big else _sha256(blob)
+        _io_log[0][str(Path(path))] = digest
     return blob
 
 

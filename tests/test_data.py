@@ -3,6 +3,7 @@ import hashlib
 import os
 import signal
 import struct
+import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -358,6 +359,34 @@ class TestDigestThread:
             assert inputs[str(small)] == hashlib.sha256(small.read_bytes()).hexdigest()
         assert inputs == {str(big): hashlib.sha256(big.read_bytes()).hexdigest(),
                           str(small): hashlib.sha256(small.read_bytes()).hexdigest()}
+
+    def test_large_input_is_read_on_the_thread(self, tmp_path, monkeypatch):
+        # so its bytes are allocated on that thread's heap, apart from the
+        # arrays the command allocates
+        big, small = self._files(tmp_path)
+        readers, read = [], data._read_then_hash
+
+        def spy(fh, handoff):
+            readers.append(threading.current_thread().name)
+            return read(fh, handoff)
+        monkeypatch.setattr(data, "_read_then_hash", spy)
+        with logged_io():
+            assert read_input(big) == big.read_bytes()
+            assert read_input(small) == small.read_bytes()
+        assert len(readers) == 1 and readers[0].startswith("pcgnet-digest")
+
+    def test_read_error_on_the_thread_is_the_given_class(self, tmp_path, monkeypatch):
+        big, _ = self._files(tmp_path)
+
+        class Failing:
+            def read(self):
+                raise OSError(5, "Input/output error")
+        read = data._read_then_hash
+        monkeypatch.setattr(data, "_read_then_hash", lambda fh, handoff: read(Failing(), handoff))
+        with logged_io() as (inputs, _):
+            with pytest.raises(CursorError, match=f"cannot read {big}: .*Input/output error"):
+                read_input(big, CursorError)
+        assert inputs == {}
 
     def test_digest_is_joined_when_the_block_fails(self, tmp_path):
         big, _ = self._files(tmp_path)
