@@ -19,10 +19,11 @@ cycle store or a checkpoint, is read and hashed on one thread, started
 the first time it is needed: the command waits for the bytes and goes on
 with them while the thread hashes the same bytes; `logged_io` waits for
 those digests when its block ends, so the record is complete when the
-block returns. The bytes are allocated by the thread, so they live on its
-heap, apart from the arrays the command allocates: when the digest ends
-no longer changes where the command's arrays are placed. The thread
-reads files and runs `_sha256` only, no numpy work.
+block returns. The bytes are allocated by the thread, so under glibc they
+live in that thread's malloc arena, apart from the arrays the command
+allocates: when the digest ends does not change where the command's
+arrays are placed. The thread reads files and runs `_sha256` only, no
+numpy work.
 Smaller inputs, a recording or a CSV, and every output are hashed inline:
 handing each of a corpus's WAVs to the thread cost more than it saved. A
 forked child starts a digest thread of its own, as it does a stage pool.
