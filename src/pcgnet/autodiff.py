@@ -49,8 +49,9 @@ OpenBLAS's own helper threads (the head's dense layer is) leaves them
 spinning for about 0.1 s afterwards, holding a core while the stage
 workers need it, so the stage workers stay the only source of
 parallelism in the numerics (the digest thread of pcgnet.data runs no
-numpy work, only the read and the sha256 of large inputs). Results do not depend on the BLAS thread count. Without an
-OpenBLAS thread API (other BLAS builds) the block changes nothing.
+numpy work, only the read and the sha256 of large inputs). Results do
+not depend on the BLAS thread count. Without an OpenBLAS thread API
+(other BLAS builds) the block changes nothing.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ be read or an output that cannot be written included), 4 numerical abort.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -231,8 +230,8 @@ def cmd_eval(args, out: Path) -> None:
 
 
 def _read_eval_rows(path: Path) -> list[dict]:
-    """The rows of one eval CSV as {config: str, fold: int, each of
-    EVAL_RATES: float in [0, 100]}; anything else is a DataError."""
+    """The rows of one eval CSV as {config: str, fold: in VALIDATION_FOLDS,
+    each of EVAL_RATES: float in [0, 100]}; anything else is a DataError."""
     header, *rows = dat.read_csv(path) or [[]]     # an empty file has no columns
     missing = [c for c in ("config", "fold", *EVAL_RATES) if c not in header]
     if missing:
@@ -243,11 +242,12 @@ def _read_eval_rows(path: Path) -> list[dict]:
         try:
             parsed = {"config": row["config"], "fold": int(row["fold"]),
                       **{c: float(row[c]) for c in EVAL_RATES}}
-            ok = all(0.0 <= parsed[c] <= 100.0 for c in EVAL_RATES)
+            ok = (parsed["fold"] in dat.VALIDATION_FOLDS
+                  and all(0.0 <= parsed[c] <= 100.0 for c in EVAL_RATES))
         except (KeyError, ValueError):   # a short row lacks a key
             ok = False
         if not ok:
-            raise DataError(f"{path} row {n} is not a config name, an integer fold "
+            raise DataError(f"{path} row {n} is not a config name, a validation fold "
                             f"and three percentages: {row!r}")
         out.append(parsed)
     return out
@@ -446,8 +446,8 @@ def main(argv: list[str] | None = None) -> int:
             start = time.perf_counter()
             with dat.logged_io() as (inputs, outputs):
                 config = args.fn(args, out)
-            config_hash = None if config is None else hashlib.sha256(
-                json.dumps(config, sort_keys=True).encode()).hexdigest()
+            config_hash = None if config is None else dat._sha256(
+                json.dumps(config, sort_keys=True).encode())
             manifest = {
                 "command": argv,
                 "seed": getattr(args, "seed", None),

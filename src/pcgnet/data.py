@@ -15,15 +15,15 @@ how a command's manifest learns its inputs and outputs. `read_input` reads
 regular files only: a FIFO or a device could block or never end.
 
 The digest thread: an input of _DIGEST_THREAD_BYTES (1 MiB) or more, a
-cycle store or a checkpoint, is read and hashed on one thread, started
-the first time it is needed: the command waits for the bytes and goes on
-with them while the thread hashes the same bytes; `logged_io` waits for
-those digests when its block ends, so the record is complete when the
-block returns. The bytes are allocated by the thread, so under glibc they
-live in that thread's malloc arena, apart from the arrays the command
-allocates: when the digest ends does not change where the command's
-arrays are placed. The thread reads files and runs `_sha256` only, no
-numpy work.
+cycle store or a checkpoint, goes to one thread, started the first time
+it is needed, as two plain submissions: the read, whose bytes the
+command waits for, then the sha256 of those bytes, which runs while the
+command goes on with them. `logged_io` waits for those digests when its
+block ends, so the record is complete when the block returns. The bytes
+are allocated by the thread, so under glibc they live in that thread's
+malloc arena, apart from the arrays the command allocates: when the
+digest ends does not change where the command's arrays are placed. The
+thread reads files and runs `_sha256` only, no numpy work.
 Smaller inputs, a recording or a CSV, and every output are hashed inline:
 handing each of a corpus's WAVs to the thread cost more than it saved. A
 forked child starts a digest thread of its own, as it does a stage pool.
@@ -43,7 +43,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -186,30 +185,14 @@ def _sha256(*chunks) -> str:
     return h.hexdigest()
 
 
-def _read_then_hash(fh, handoff: SimpleQueue) -> str:
-    """Read `fh` to its end, put the bytes (or the error) on `handoff`,
-    then return their sha256."""
-    try:
-        blob = fh.read()
-    except BaseException as e:
-        handoff.put(e)
-        raise
-    handoff.put(blob)
-    return _sha256(blob)
-
-
 def _digest_later(fh) -> tuple[bytes, Future]:
-    """The bytes of the open file `fh` and a Future of their sha256, both
-    taken on the digest thread."""
+    """The bytes of the open file `fh`, read on the digest thread, and a
+    Future of their sha256, taken there too."""
     global _digester
     if _digester is None:
         _digester = ThreadPoolExecutor(1, thread_name_prefix="pcgnet-digest")
-    handoff = SimpleQueue()
-    digest = _digester.submit(_read_then_hash, fh, handoff)
-    blob = handoff.get()
-    if isinstance(blob, BaseException):
-        raise blob
-    return blob, digest
+    blob = _digester.submit(fh.read).result()
+    return blob, _digester.submit(_sha256, blob)
 
 
 def _drain_digests() -> None:

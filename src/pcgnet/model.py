@@ -28,7 +28,6 @@ external decomposition produce identical probabilities.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -408,26 +407,18 @@ def aggregate_recording(cycle_probs) -> tuple[float, int]:
 # checkpoint io
 
 def save(net: Network, path: str) -> None:
-    """Write a bit-exact snapshot: config, every array, running stats, step."""
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    buf.write(struct.pack("<I", CKPT_VERSION))
+    """Write a bit-exact snapshot: config, every array, running stats, step.
+    The header fields and each array are written as chunks, in file order."""
     cfg_json = json.dumps(asdict(net.config), sort_keys=True,
                           separators=(",", ":")).encode()
-    buf.write(struct.pack("<Q", len(cfg_json)))
-    buf.write(cfg_json)
-    buf.write(struct.pack("<Q", net.step))
     blobs = net._blobs()
-    buf.write(struct.pack("<I", len(blobs)))
+    chunks = [CKPT_MAGIC, struct.pack("<IQ", CKPT_VERSION, len(cfg_json)), cfg_json,
+              struct.pack("<QI", net.step, len(blobs))]
     for name, arr in blobs:
         nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            buf.write(struct.pack("<Q", d))
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    write_output(path, buf.getvalue())
+        chunks += [struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f8")]
+    write_output(path, *chunks)
 
 
 def load(path: str) -> Network:

@@ -5,12 +5,14 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pcgnet import autodiff as ad
+from pcgnet import cli
 from pcgnet import data as dat
 from pcgnet import training as trn
 from pcgnet.cli import main
@@ -438,6 +440,31 @@ class TestOutputs:
         assert store.stat().st_size >= dat._DIGEST_THREAD_BYTES
         assert (run / "checkpoint.ckpt").stat().st_size >= dat._DIGEST_THREAD_BYTES
 
+    def test_manifest_config_hash(self, pipeline, tmp_path):
+        # train hashes the two configs it trained with; eval hashes none
+        store = pipeline / "store" / "cycles.bin"
+        common = ["--cycles", str(store), "--folds", str(pipeline / "folds" / "folds.csv"),
+                  "--fold", "0"]
+        (tmp_path / "cfg.json").write_text(json.dumps({"dropout": 0.25}))
+        hashes = []
+        for name, extra in (("plain", []), ("cfg", ["--config", str(tmp_path / "cfg.json")])):
+            argv = ["train", *common, "--frontend", "lp", "--epochs", "0", *extra,
+                    "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+            args = cli.build_parser().parse_args(argv)
+            overrides = cli._read_config(args.config)
+            input_len = CycleStore.load(str(store)).samples.shape[1]
+            net_cfg = cli._network_config(args, overrides, input_len)
+            train_cfg = cli._train_config(args, overrides)
+            config = {"network": asdict(net_cfg), "train": asdict(train_cfg)}
+            hashes.append(self.checked_manifest(tmp_path / name)["config_hash"])
+            assert hashes[-1] == hashlib.sha256(
+                json.dumps(config, sort_keys=True).encode()).hexdigest()
+        assert net_cfg.dropout == 0.25 and hashes[0] != hashes[1]
+        assert main(["eval", *common, "--ckpt", str(tmp_path / "plain" / "checkpoint.ckpt"),
+                     "--out", str(tmp_path / "ev")]) == 0
+        assert self.checked_manifest(tmp_path / "ev")["config_hash"] is None
+
     def test_manifest_lists_what_report_read_and_wrote(self, tmp_path):
         runs = tmp_path / "runs"
         for name in ("lp", "zp"):
@@ -761,6 +788,8 @@ class TestReport:
         (EVAL_HEADER, ["a", "0", "1", "1", "1", "1", "50.0", "nan", "50.0"]),
         (EVAL_HEADER, ["a", "0", "1"]),
         (["fold", "config", "sensitivity_pct", "specificity_pct", "macc_pct"], ["0"]),
+        (EVAL_HEADER, ["lp", "7", "1", "1", "1", "1", "50.0", "50.0", "50.0"]),
+        (EVAL_HEADER, ["lp", "-1", "1", "1", "1", "1", "50.0", "50.0", "50.0"]),
     ])
     def test_malformed_eval_csv_is_data_error(self, tmp_path, capsys, header, row):
         runs = tmp_path / "runs"
@@ -770,7 +799,7 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("data error:")
+        assert len(err) == 1 and err[0].startswith(f"data error: {runs / 'eval.csv'}")
         assert not (tmp_path / "out" / "report.csv").exists()
 
     def test_repeated_config_fold_is_data_error(self, tmp_path, capsys):

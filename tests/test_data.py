@@ -364,29 +364,52 @@ class TestDigestThread:
         # so its bytes are allocated on that thread's heap, apart from the
         # arrays the command allocates
         big, small = self._files(tmp_path)
-        readers, read = [], data._read_then_hash
+        readers = []
 
-        def spy(fh, handoff):
-            readers.append(threading.current_thread().name)
-            return read(fh, handoff)
-        monkeypatch.setattr(data, "_read_then_hash", spy)
+        class Spied:
+            def __init__(self, path, mode):
+                self.fh = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self):
+                readers.append((self.fh.name, threading.current_thread().name))
+                return self.fh.read()
+        monkeypatch.setattr(data, "open", Spied, raising=False)
         with logged_io():
             assert read_input(big) == big.read_bytes()
             assert read_input(small) == small.read_bytes()
-        assert len(readers) == 1 and readers[0].startswith("pcgnet-digest")
+        assert [name for name, _ in readers] == [str(big), str(small)]
+        assert readers[0][1].startswith("pcgnet-digest")
+        assert readers[1][1] == threading.current_thread().name
 
     def test_read_error_on_the_thread_is_the_given_class(self, tmp_path, monkeypatch):
         big, _ = self._files(tmp_path)
+        readers = []
 
         class Failing:
+            def __init__(self, path, mode):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
             def read(self):
+                readers.append(threading.current_thread().name)
                 raise OSError(5, "Input/output error")
-        read = data._read_then_hash
-        monkeypatch.setattr(data, "_read_then_hash", lambda fh, handoff: read(Failing(), handoff))
+        monkeypatch.setattr(data, "open", Failing, raising=False)
         with logged_io() as (inputs, _):
             with pytest.raises(CursorError, match=f"cannot read {big}: .*Input/output error"):
                 read_input(big, CursorError)
         assert inputs == {}
+        assert len(readers) == 1 and readers[0].startswith("pcgnet-digest")
 
     def test_digest_is_joined_when_the_block_fails(self, tmp_path):
         big, _ = self._files(tmp_path)

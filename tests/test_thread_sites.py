@@ -1,8 +1,8 @@
-"""The package starts threads in two places and takes sha256 digests in two.
+"""The package starts threads in two places and takes sha256 digests in one.
 
 autodiff.run_split starts the stage pool and data._digest_later the digest
-thread; data._sha256 hashes every input and output and cli.main the train
-config. perfbench's span stack is shared by all threads, so a thread that
+thread; data._sha256 hashes every input and output and the train config.
+perfbench's span stack is shared by all threads, so a thread that
 ran a traced function would break its span nesting: a new thread belongs
 in one of these places or needs the tracer's attention first.
 
@@ -20,7 +20,6 @@ ALLOWED = {
     ("autodiff.run_split", "ThreadPoolExecutor"),
     ("data._digest_later", "ThreadPoolExecutor"),
     ("data._sha256", "hashlib.sha256"),
-    ("cli.main", "hashlib.sha256"),
 }
 # call name -> how the scan reports it, whether called by attribute or by name
 WATCHED = {"ThreadPoolExecutor": "ThreadPoolExecutor", "Thread": "threading.Thread",
