@@ -360,11 +360,11 @@ class TestDigestThread:
         assert inputs == {str(big): hashlib.sha256(big.read_bytes()).hexdigest(),
                           str(small): hashlib.sha256(small.read_bytes()).hexdigest()}
 
-    def test_large_input_is_read_on_the_thread(self, tmp_path, monkeypatch):
-        # so its bytes are allocated on that thread's heap, apart from the
-        # arrays the command allocates
-        big, small = self._files(tmp_path)
-        readers = []
+    @staticmethod
+    def _spy_reads(monkeypatch, fail=False):
+        """Shadow `open` in pcgnet.data with files that record (path, thread)
+        of each read; with `fail` the read raises an OSError."""
+        reads = []
 
         class Spied:
             def __init__(self, path, mode):
@@ -377,39 +377,33 @@ class TestDigestThread:
                 self.fh.close()
 
             def read(self):
-                readers.append((self.fh.name, threading.current_thread().name))
+                reads.append((self.fh.name, threading.current_thread().name))
+                if fail:
+                    raise OSError(5, "Input/output error")
                 return self.fh.read()
         monkeypatch.setattr(data, "open", Spied, raising=False)
+        return reads
+
+    def test_large_input_is_read_on_the_thread(self, tmp_path, monkeypatch):
+        # so its bytes are allocated on that thread's heap, apart from the
+        # arrays the command allocates
+        big, small = self._files(tmp_path)
+        reads = self._spy_reads(monkeypatch)
         with logged_io():
             assert read_input(big) == big.read_bytes()
             assert read_input(small) == small.read_bytes()
-        assert [name for name, _ in readers] == [str(big), str(small)]
-        assert readers[0][1].startswith("pcgnet-digest")
-        assert readers[1][1] == threading.current_thread().name
+        assert [path for path, _ in reads] == [str(big), str(small)]
+        assert reads[0][1].startswith("pcgnet-digest")
+        assert reads[1][1] == threading.current_thread().name
 
     def test_read_error_on_the_thread_is_the_given_class(self, tmp_path, monkeypatch):
         big, _ = self._files(tmp_path)
-        readers = []
-
-        class Failing:
-            def __init__(self, path, mode):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def read(self):
-                readers.append(threading.current_thread().name)
-                raise OSError(5, "Input/output error")
-        monkeypatch.setattr(data, "open", Failing, raising=False)
+        reads = self._spy_reads(monkeypatch, fail=True)
         with logged_io() as (inputs, _):
             with pytest.raises(CursorError, match=f"cannot read {big}: .*Input/output error"):
                 read_input(big, CursorError)
         assert inputs == {}
-        assert len(readers) == 1 and readers[0].startswith("pcgnet-digest")
+        assert len(reads) == 1 and reads[0][1].startswith("pcgnet-digest")
 
     def test_digest_is_joined_when_the_block_fails(self, tmp_path):
         big, _ = self._files(tmp_path)
