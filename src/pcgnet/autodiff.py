@@ -14,14 +14,17 @@ this layer realizes with a (K-1)/2 sample delay. causal_conv1d removes
 that delay and returns the causal filter output itself.
 
 Kernels of FFT_KERNEL_MIN taps or more use one FFT size forward and
-backward, nfft = next_pow2(L + K - 1): the unpadded signal's spectrum
-times the kernel's is the full linear convolution, read from sample
-start = K - 1 - p (p the "same" padding). Backward transforms the output
-gradient once, placed at `start`, and correlates it with the signal (the
-kernel gradient) and with the kernel (the input gradient). The
-transforms, the products and the input gradient split by batch row
-across the stage workers; the kernel gradient sums over every row, so it
-stays one product on the calling thread.
+backward, nfft = dsp.next_fast_len(L + K - 1), the smallest
+2^a * 3^b * 5^c that holds the full linear convolution (2560 points for
+the pipeline's 2500-sample cycles and 61 taps, where the next power of
+two is 4096): the unpadded signal's spectrum times the kernel's is that
+convolution, read from sample start = K - 1 - p (p the "same" padding).
+Backward transforms the output gradient once, placed at `start`, and
+correlates it with the signal (the kernel gradient) and with the kernel
+(the input gradient). The transforms, the products and the input
+gradient split by batch row across the stage workers; the kernel
+gradient sums over every row, so it stays one product on the calling
+thread.
 
 Stage workers: the grouped conv1d direct path (k < FFT_KERNEL_MIN) splits
 its forward and backward work by whole channel groups, the FFT path (and
@@ -38,9 +41,11 @@ statistics stay on the calling thread. Every op split this way is per
 channel, per group or per row, and the node reduces over blocks of two or
 three channels (numpy sums a lone channel in another order), so outputs,
 gradients and running statistics are bitwise the same for any worker
-count. Within its chunk the direct conv path works through the batch in
-cache-sized blocks of rows, rebuilding its window matrices in backward
-instead of keeping them, and the stage node works one pair at a time.
+count. Within its chunk each conv path works through the batch in
+cache-sized blocks of rows: the direct path rebuilds its window matrices
+in backward instead of keeping them, and the FFT path holds no frame
+wider than one block and keeps the signal's spectrum only when the
+kernel gradient needs it. The stage node works one pair at a time.
 
 BLAS on the calling thread: inside blas_on_calling_thread() OpenBLAS runs
 every product on the thread that calls it, whatever OPENBLAS_NUM_THREADS
@@ -66,12 +71,13 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import next_pow2
+from .dsp import next_fast_len
 
 # Kernels at least this long go through the FFT convolution path.
 FFT_KERNEL_MIN = 16
-# The direct path works through the batch in blocks of rows whose window
-# copies take about this many bytes, so that each stays in cache.
+# Both conv paths work through the batch in blocks of rows whose window
+# copies or transformed frames take about this many bytes, so that each
+# stays in cache.
 _BLOCK_BYTES = 1 << 20
 
 BCE_CLAMP = 1e-7
@@ -480,16 +486,24 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
     use_fft = k >= FFT_KERNEL_MIN
     if use_fft:
         # output n is sample start + n of the full linear convolution
-        nfft, start = next_pow2(length + k - 1), k - 1 - p
+        nfft, start = next_fast_len(length + k - 1), k - 1 - p
         nf = nfft // 2 + 1
         khat = np.fft.rfft(kernel.data, nfft).reshape(ng, co, ci, nf)
-        xhat = np.empty((b, ng, ci, nf), dtype=np.complex128)
+        # the signal's spectrum is kept only for the kernel gradient
+        xhat = (np.empty((b, ng, ci, nf), dtype=np.complex128)
+                if _grad_enabled and kernel.requires_grad else None)
         out = np.empty((b, gco, ln))
+        # rows per block: each row's widest frame is max(gci, gco) * nfft floats
+        step = max(1, _BLOCK_BYTES // (8 * nfft * max(gci, gco)))
 
         def forward_rows(r0, r1):
-            xhat[r0:r1] = np.fft.rfft(x.data[r0:r1], nfft).reshape(r1 - r0, ng, ci, nf)
-            full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xhat[r0:r1], khat), nfft)
-            out[r0:r1] = full[..., start:start + ln].reshape(r1 - r0, gco, ln)
+            for s0 in range(r0, r1, step):
+                s1 = min(s0 + step, r1)
+                xh = np.fft.rfft(x.data[s0:s1], nfft).reshape(s1 - s0, ng, ci, nf)
+                if xhat is not None:
+                    xhat[s0:s1] = xh
+                full = np.fft.irfft(np.einsum("bgcf,gocf->bgof", xh, khat), nfft)
+                out[s0:s1] = full[..., start:start + ln].reshape(s1 - s0, gco, ln)
 
         run_split(forward_rows, b)
     else:
@@ -518,12 +532,14 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
 
         def backward_rows(r0, r1):
             # g placed at `start` in a zeroed frame: no product wraps around
-            gfull = np.zeros((r1 - r0, ng, co, nfft))
-            gfull[..., start:start + ln] = g[r0:r1]
-            ghat[r0:r1] = np.fft.rfft(gfull)
-            if dx is not None:
-                full = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat[r0:r1], khat_c), nfft)
-                dx[r0:r1] = full[..., :length].reshape(r1 - r0, gci, length)
+            gfull = np.zeros((min(step, r1 - r0), ng, co, nfft))
+            for s0 in range(r0, r1, step):
+                s1 = min(s0 + step, r1)
+                gfull[:s1 - s0, ..., start:start + ln] = g[s0:s1]
+                ghat[s0:s1] = np.fft.rfft(gfull[:s1 - s0])
+                if dx is not None:
+                    full = np.fft.irfft(np.einsum("bgof,gocf->bgcf", ghat[s0:s1], khat_c), nfft)
+                    dx[s0:s1] = full[..., :length].reshape(s1 - s0, gci, length)
 
         run_split(backward_rows, b)
         if kernel.requires_grad:

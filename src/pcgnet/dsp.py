@@ -1,5 +1,5 @@
-"""Signal primitives: waveforms, resampling, phase unwrapping and
-long-term spectral averaging.
+"""Signal primitives: waveforms, FFT frame sizes, resampling, phase
+unwrapping and long-term spectral averaging.
 
 All functions are pure: they never mutate their inputs and are safe to call
 concurrently. Amplitudes are dimensionless, frequencies in Hz, sample rates
@@ -31,6 +31,24 @@ def next_pow2(n: int) -> int:
     while m < n:
         m <<= 1
     return m
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: the shortest FFT frame that holds n
+    samples and transforms with radix-2, 3 and 5 passes only (1 for n <= 1).
+    It is never above next_pow2(n)."""
+    best = max(2 * n - 1, 1)   # a power of two lies in [n, 2n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m <<= 1
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)

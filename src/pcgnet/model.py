@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import CYCLE_LEN, PIPELINE_RATE_HZ, ByteCursor, read_input, write_output
-from .dsp import next_pow2
+from .dsp import next_fast_len
 from .errors import CheckpointError, check_field_types
 from .fir import DEFAULT_ORDER, FilterBank, default_bank
 from .frontend import TConvLayer, init_kernel, param_spec
@@ -273,11 +273,12 @@ class Network:
 
         Centered alignment (numpy "same" convolution), matching the conv
         front-end's output sample-for-sample. Each cycle goes through one
-        FFT product with the bank's spectrum, independent of
-        autodiff.conv1d, so comparing the two checks one implementation
-        against another. The stage workers split the batch by rows
-        (autodiff.run_split); every row is computed on its own, so the
-        result does not depend on the worker count.
+        FFT product with the bank's spectrum, in the frame conv1d uses
+        (dsp.next_fast_len of the full linear convolution's length) but
+        independent of autodiff.conv1d, so comparing the two checks one
+        implementation against another. The stage workers split the
+        batch by rows (autodiff.run_split); every row is computed on its
+        own, so the result does not depend on the worker count.
         """
         if self.bank is None:
             raise ValueError("this network has no fixed filter bank to decompose with")
@@ -286,7 +287,7 @@ class Network:
         (b, n), (bands, k) = raw.shape, coeffs.shape
         if n < k:
             raise ValueError(f"cycles of {n} samples are shorter than the {k}-tap bank")
-        nfft = next_pow2(n + k - 1)
+        nfft = next_fast_len(n + k - 1)
         bank_hat = np.fft.rfft(coeffs, nfft)
         start = (k - 1) // 2
         out = np.empty((b, bands, n))

@@ -57,6 +57,7 @@ class TestConv1d:
             (1, 1, 1, 12, 3), (2, 3, 4, 20, 5), (3, 2, 2, 40, 7),
             (1, 1, 2, 80, 21),   # FFT path
             (2, 2, 3, 64, 17),   # FFT path, multichannel
+            (2, 1, 2, 59, 17),   # FFT path, odd frame (next_fast_len(75) = 75)
         ] for padding in ("same", "valid")),
         (2, 1, 2, 10, 21, "same"),   # FFT path, kernel longer than the signal
     ])
@@ -82,10 +83,13 @@ class TestConv1d:
             assert relative_error(ana, num) < 1e-6
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
-    @pytest.mark.parametrize("k", [5, 21])   # direct and FFT path
-    def test_same_padding_gradients(self, k, padding):
+    @pytest.mark.parametrize("k,length", [
+        (5, 15),    # direct path
+        (21, 31),   # FFT path, even frame (54 points)
+        (17, 59),   # FFT path, odd frame (75 points)
+    ], ids=["5", "21", "17-len59"])
+    def test_same_padding_gradients(self, k, length, padding):
         rng = np.random.default_rng(8)
-        length = k + 10
         x = ad.Tensor(rng.normal(size=(2, 1, length)), requires_grad=True)
         kern = ad.Tensor(rng.normal(size=(2, 1, k)), requires_grad=True)
         out_len = length if padding == "same" else length - k + 1
@@ -99,6 +103,20 @@ class TestConv1d:
             num = numeric_gradient(f, p)
             (ana,) = analytic_gradient(f, [p])
             assert relative_error(ana, num) < 1e-6
+
+    def test_fft_input_gradient_with_a_frozen_kernel(self):
+        # the signal's spectrum is kept only for the kernel gradient
+        rng = np.random.default_rng(9)
+        xv, kv = rng.normal(size=(3, 2, 40)), rng.normal(size=(4, 1, 17))
+        coef = ad.tensor(rng.normal(size=(3, 4, 40)))
+        grads = []
+        for k_grad in (True, False):
+            x = ad.Tensor(xv, requires_grad=True)
+            kern = ad.Tensor(kv, requires_grad=k_grad)
+            ad.backward(ad.tsum(ad.mul(ad.conv1d(x, kern, "same", groups=2), coef)))
+            assert (kern.grad is not None) == k_grad
+            grads.append(x.grad)
+        assert np.array_equal(grads[0], grads[1])
 
     def test_rejects_bad_shapes(self):
         x = ad.tensor(np.zeros((1, 2, 10)))
@@ -680,7 +698,10 @@ class TestStageWorkers:
             assert (x.grad is not None) == x_grad
             return (y.data, kern.grad) + ((x.grad,) if x_grad else ())
 
-        self._per_chunk_count(monkeypatch, run)
+        whole = self._per_chunk_count(monkeypatch, run)
+        # each chunk in blocks of one row each, not in one block
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+        self._assert_bitwise_equal(self._per_chunk_count(monkeypatch, run), whole)
 
     @pytest.mark.parametrize("rows", [1, 3, 256])
     def test_decompose_is_chunk_invariant(self, monkeypatch, rows):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pcgnet.dsp import LtsaProfile, Waveform, hamming, ltsa, resample, unwrap_phase
+from pcgnet.dsp import (LtsaProfile, Waveform, hamming, ltsa, next_fast_len, next_pow2, resample,
+                        unwrap_phase)
 
 
 class TestResample:
@@ -37,6 +38,34 @@ class TestResample:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             resample(Waveform(np.array([]), 2000.0), 1000.0)
+
+
+def _five_smooth_at_least(n):
+    """Brute force: the first m >= n with no prime factor above 5."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+class TestNextFastLen:
+    def test_matches_brute_force(self):
+        for n in [*range(1, 5001), 100_001, 131_073, 262_143, 1_000_003]:
+            assert next_fast_len(n) == _five_smooth_at_least(n), n
+
+    @pytest.mark.parametrize("n,frame", [(75, 75), (74, 75), (121, 125), (2001, 2025),
+                                         (2560, 2560), (2500 + 61 - 1, 2560)])
+    def test_odd_and_pipeline_frames(self, n, frame):
+        assert next_fast_len(n) == frame
+
+    def test_never_above_next_pow2(self):
+        for n in range(0, 5001):
+            assert next_fast_len(n) <= next_pow2(n)
 
 
 class TestLtsa:

@@ -8,6 +8,7 @@ import pytest
 import pcgnet.autodiff as ad
 import pcgnet.model as mdl
 from pcgnet.cli import FRONTEND_ALIASES, INIT_ALIASES, build_parser
+from pcgnet.data import CYCLE_LEN
 from pcgnet.errors import CheckpointError
 from pcgnet.model import (CKPT_MAGIC, FRONTENDS, INITS, Network, NetworkConfig,
                           aggregate_recording, branch_feature_len, build, config_name,
@@ -251,13 +252,15 @@ class TestDecompose:
 class TestBaselineEquivalence:
     def test_frozen_fir_tconv_equals_external_fir(self):
         rng = np.random.default_rng(21)
-        cycles = rng.normal(size=(8, 500))
-        frozen = build(NetworkConfig(frontend="tconv_free", init="fir_bank",
-                                     frontend_trainable=False, input_len=500, seed=13))
-        baseline = build(NetworkConfig(frontend="external_fir", input_len=500, seed=13))
-        p_frozen = frozen.forward(cycles).data
-        p_base = baseline.forward(cycles).data
-        assert np.abs(p_frozen - p_base).max() < 1e-8
+        # 500 samples, and the pipeline's 2500 (a 2560-point frame)
+        for n in (500, CYCLE_LEN):
+            cycles = rng.normal(size=(8, n))
+            frozen = build(NetworkConfig(frontend="tconv_free", init="fir_bank",
+                                         frontend_trainable=False, input_len=n, seed=13))
+            baseline = build(NetworkConfig(frontend="external_fir", input_len=n, seed=13))
+            p_frozen = frozen.forward(cycles).data
+            p_base = baseline.forward(cycles).data
+            assert np.abs(p_frozen - p_base).max() < 1e-8, n
 
 
 class TestAggregate:
