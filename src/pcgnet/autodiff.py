@@ -28,16 +28,16 @@ thread.
 
 Stage workers: the grouped conv1d direct path (k < FFT_KERNEL_MIN) splits
 its forward and backward work by whole channel groups, the FFT path (and
-model.Network.decompose) by contiguous batch rows, and
-bn_relu_dropout_pool by channel pairs, one chunk per stage worker
-(run_split). The calling thread runs the first chunk and a module-level
-thread pool the rest. The worker count is the number of CPUs this process
-may run on (os.sched_getaffinity), capped at the number of groups, rows
-or pairs; one worker runs everything inline. It is not a setting, and the
-BLAS thread variables do not set it. A chunk writes its results only into
-its own slice of arrays that the calling thread allocated, and calls
-array helpers only, never an op; graph nodes, random draws and running
-statistics stay on the calling thread. Every op split this way is per
+model.Network.decompose) and the inference stage op conv_bn_relu_pool by
+contiguous batch rows, and bn_relu_dropout_pool by channel pairs, one
+chunk per stage worker (run_split). The calling thread runs the first
+chunk and a module-level thread pool the rest. The worker count is the
+number of CPUs this process may run on (os.sched_getaffinity), capped at
+the number of groups, rows or pairs; one worker runs everything inline.
+It is not a setting, and the BLAS thread variables do not set it. A chunk
+writes its results only into its own slice of arrays that the calling
+thread allocated, and calls array helpers only, never an op; graph nodes,
+random draws and running statistics stay on the calling thread. Every op split this way is per
 channel, per group or per row, and the node reduces over blocks of two or
 three channels (numpy sums a lone channel in another order), so outputs,
 gradients and running statistics are bitwise the same for any worker
@@ -46,6 +46,9 @@ cache-sized blocks of rows: the direct path rebuilds its window matrices
 in backward instead of keeping them, and the FFT path holds no frame
 wider than one block and keeps the signal's spectrum only when the
 kernel gradient needs it. The stage node works one pair at a time.
+conv_bn_relu_pool, which serves inference without a graph, runs the
+direct path's products and the node's inference tail on one block of
+rows at a time, so the whole batch's convolution output never exists.
 
 BLAS on the calling thread: inside blas_on_calling_thread() OpenBLAS runs
 every product on the thread that calls it, whatever OPENBLAS_NUM_THREADS
@@ -151,6 +154,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether ops build a graph here: False inside no_grad()."""
+    return _grad_enabled
 
 
 def _node(data, parents, backward, op):
@@ -465,21 +473,9 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
     Gradients are defined for both the signal and the kernel. Long kernels
     run through an FFT path; both paths are deterministic.
     """
-    if padding not in ("same", "valid"):
-        raise ValueError(f"unknown padding {padding!r}")
-    if x.data.ndim != 3 or kernel.data.ndim != 3:
-        raise ValueError("conv1d expects x [B, G*Ci, L] and kernel [G*Co, Ci, k]")
+    _conv_check(x, kernel, padding, groups)
     b, gci, length = x.data.shape
     gco, ci, k = kernel.data.shape
-    if groups < 1 or gci % groups or gco % groups:
-        raise ValueError(f"{groups} groups do not divide {gci} input and {gco} "
-                         f"output channels")
-    if gci // groups != ci:
-        raise ValueError(f"channel mismatch: input {gci} in {groups} groups, kernel {ci}")
-    if k > length and padding == "valid":
-        raise ValueError(f"kernel ({k}) longer than signal ({length}) for valid padding")
-    if padding == "same" and k % 2 == 0:
-        raise ValueError("same padding requires an odd kernel length")
     ng, co = groups, gco // groups
     p = (k - 1) // 2 if padding == "same" else 0
     ln = length + 2 * p - k + 1
@@ -552,6 +548,25 @@ def conv1d(x: Tensor, kernel: Tensor, padding: str = "same", groups: int = 1) ->
     return _node(out, (x, kernel), back, f"conv1d_{padding}")
 
 
+def _conv_check(x: Tensor, kernel: Tensor, padding: str, groups: int) -> None:
+    """Validate a conv1d call of x [B, G*Ci, L] with kernel [G*Co, Ci, k]."""
+    if padding not in ("same", "valid"):
+        raise ValueError(f"unknown padding {padding!r}")
+    if x.data.ndim != 3 or kernel.data.ndim != 3:
+        raise ValueError("conv1d expects x [B, G*Ci, L] and kernel [G*Co, Ci, k]")
+    _, gci, length = x.data.shape
+    gco, ci, k = kernel.data.shape
+    if groups < 1 or gci % groups or gco % groups:
+        raise ValueError(f"{groups} groups do not divide {gci} input and {gco} "
+                         f"output channels")
+    if gci // groups != ci:
+        raise ValueError(f"channel mismatch: input {gci} in {groups} groups, kernel {ci}")
+    if k > length and padding == "valid":
+        raise ValueError(f"kernel ({k}) longer than signal ({length}) for valid padding")
+    if padding == "same" and k % 2 == 0:
+        raise ValueError("same padding requires an odd kernel length")
+
+
 def _row_buffers(b: int, *shapes):
     """(rows, buf, ...) for each block of b batch rows, one uninitialized
     [rows, *shape] buffer per shape, reused from block to block; a block's
@@ -563,15 +578,16 @@ def _row_buffers(b: int, *shapes):
         yield (slice(r0, r0 + m), *(buf[:m] for buf in bufs))
 
 
-def _window_blocks(win: np.ndarray, g0: int, g1: int, ci: int):
-    """(rows, cols) for each block of batch rows of groups [g0, g1) of the
-    windows win [B, G*Ci, k, Ln]: cols[r, g, c*k + j, n] is
-    win[rows][r, (g0 + g)*ci + c, j, n]."""
+def _window_blocks(win: np.ndarray, g0: int, g1: int, ci: int, *shapes):
+    """(rows, cols, ...) for each block of batch rows of groups [g0, g1) of
+    the windows win [B, G*Ci, k, Ln]: cols[r, g, c*k + j, n] is
+    win[rows][r, (g0 + g)*ci + c, j, n], followed by one [rows, *shape]
+    buffer per extra shape, as _row_buffers gives them."""
     b, _, k, ln = win.shape
     gc = g1 - g0
-    for rows, cols in _row_buffers(b, (gc, ci * k, ln)):
+    for rows, cols, *bufs in _row_buffers(b, (gc, ci * k, ln), *shapes):
         np.copyto(cols.reshape(len(cols), gc * ci, k, ln), win[rows, g0 * ci:g1 * ci])
-        yield rows, cols
+        yield rows, cols, *bufs
 
 
 def _conv_direct_backward(g, x: Tensor, kernel: Tensor, win, kf, p: int) -> None:
@@ -726,12 +742,12 @@ class BatchNormState:
         self.var += (1.0 - BN_MOMENTUM) * var
 
 
-def _bn_check(x: Tensor, gamma: Tensor, beta: Tensor, bias: Tensor | None,
+def _bn_check(shape, gamma: Tensor, beta: Tensor, bias: Tensor | None,
               train: bool) -> None:
-    """Validate a batch-norm call on x [B, C, L]."""
-    if x.data.ndim != 3:
+    """Validate a batch-norm call on x of `shape`, [B, C, L]."""
+    if len(shape) != 3:
         raise ValueError("batchnorm1d expects x [B, C, L]")
-    b, c, _ = x.data.shape
+    b, c, _ = shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("gamma/beta must have shape [C]")
     if bias is not None and bias.data.shape != (c,):
@@ -746,6 +762,12 @@ def _bn_batch_stats(x: np.ndarray, scratch: np.ndarray):
     mu = x.mean(axis=(0, 2))
     np.subtract(x, mu[None, :, None], out=scratch)
     return mu, np.einsum("bcl,bcl->c", scratch, scratch) / (x.shape[0] * x.shape[2])
+
+
+def _bn_running(state: BatchNormState, bias: Tensor | None):
+    """(mu, var) of infer mode: the running statistics, the mean less a
+    folded bias."""
+    return state.mean - (0.0 if bias is None else bias.data), state.var
 
 
 def _bn_affine(gamma, beta, mu, var):
@@ -804,13 +826,13 @@ def batchnorm1d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     mode ignores it (it gets no gradient) except that the running mean
     tracks mean(x + bias); infer mode moves it into the shift.
     """
-    _bn_check(x, gamma, beta, bias, train)
+    _bn_check(x.data.shape, gamma, beta, bias, train)
     out = np.empty_like(x.data)
     if train:
         mu, var = _bn_batch_stats(x.data, out)
         state.update(mu, var, bias)
     else:
-        mu, var = state.mean - (0.0 if bias is None else bias.data), state.var
+        mu, var = _bn_running(state, bias)
     ivar, a_ch, shift = _bn_affine(gamma.data, beta.data, mu, var)
     # two passes: out = x * (gamma*ivar) + (beta - gamma*ivar*mu)
     np.multiply(x.data, a_ch[None, :, None], out=out)
@@ -891,6 +913,18 @@ def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+def _pool_affine_relu(v: np.ndarray, pool: int, neg: np.ndarray, a_ch: np.ndarray,
+                      shift: np.ndarray, out: np.ndarray) -> None:
+    """Infer-mode batch-norm, relu and pool of v [B, C, L], written into out
+    [B, C, L // pool]: v pooled by _pool_max (min on the channels `neg`,
+    where a_ch < 0), then * a_ch + shift per channel and relu. The map is
+    monotone in v (decreasing where a_ch < 0), in its rounded value too, so
+    this is bitwise the map, relu and pool applied in that order."""
+    np.multiply(_pool_max(v, pool, neg, out), a_ch[:, None], out=out)
+    out += shift[:, None]
+    np.maximum(out, 0.0, out=out)
+
+
 def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> None:
     """Write into out (unsigned ints) the offset in its window of the
     element _pool_max took, ties going to the first: each view is compared
@@ -921,6 +955,14 @@ def _pool_scatter(g: np.ndarray, gate: np.ndarray, winner, pool: int,
         np.multiply(g, gate & (winner == j), out=view)
 
 
+def _pool_check(length: int, pool: int) -> None:
+    """Validate a pool of `pool` over signals of `length` samples."""
+    if pool < 1:
+        raise ValueError(f"pool must be >= 1, got {pool}")
+    if length < pool:
+        raise ValueError(f"signal of length {length} shorter than pool {pool}")
+
+
 def _channel_blocks(p0: int, p1: int, c: int) -> list[tuple[int, int]]:
     """Channel ranges of pairs [p0, p1) of c channels: pair p is channels
     2p and 2p + 1, the last pair also takes a trailing odd channel, and one
@@ -948,20 +990,19 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
     Infer mode: batch-norm is the per-channel map x*a + shift, monotone
     in x and so in its rounded value, so the raw x is pooled first (max
     where a >= 0, min where a < 0) and the map and relu run on the pooled
-    values only; the output is bitwise that of the composed ops.
+    values only (_pool_affine_relu); the output is bitwise that of the
+    composed ops. It serves inference that builds a graph; without one,
+    the network runs conv_bn_relu_pool, which shares this arithmetic.
 
     Pool windows and ties follow maxpool1d; pool 1 means no pool. The
     stage workers split the channel pairs (_channel_blocks) between them,
     forward and backward, and each runs its pairs one at a time, so y and
     its gradient never exist for more than three channels per worker.
     """
-    if pool < 1:
-        raise ValueError(f"pool must be >= 1, got {pool}")
     check_dropout_rate(rate, in_bytes=True)
-    _bn_check(x, gamma, beta, bias, train)
+    _bn_check(x.data.shape, gamma, beta, bias, train)
     shape = b, c, length = x.data.shape
-    if length < pool:
-        raise ValueError(f"signal of length {length} shorter than pool {pool}")
+    _pool_check(length, pool)
     pairs = max(1, c // 2)
     pooled = (b, c, length // pool)
     win_type = np.min_scalar_type(pool - 1)
@@ -974,7 +1015,7 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
         mu, var, ivar, a_ch, shift = np.empty((5, c))
         neg = np.zeros(c, dtype=bool)   # the batch-norm scale is applied before the pool
     else:
-        mu, var = state.mean - (0.0 if bias is None else bias.data), state.var
+        mu, var = _bn_running(state, bias)
         ivar, a_ch, shift = _bn_affine(gamma.data, beta.data, mu, var)
         neg = a_ch < 0.0
 
@@ -984,10 +1025,7 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
         for c0, c1 in _channel_blocks(p0, p1, c):
             xs, os_, lows = x.data[:, c0:c1], out[:, c0:c1], np.flatnonzero(neg[c0:c1])
             if not train:
-                pooled_x = _pool_max(xs, pool, lows, os_)
-                np.multiply(pooled_x, a_ch[c0:c1, None], out=os_)
-                os_ += shift[c0:c1, None]
-                np.maximum(os_, 0.0, out=os_)
+                _pool_affine_relu(xs, pool, lows, a_ch[c0:c1], shift[c0:c1], os_)
                 continue
             ys = os_ if pool == 1 else scratch[:, :c1 - c0]
             mu[c0:c1], var[c0:c1] = _bn_batch_stats(xs, ys)
@@ -1036,6 +1074,46 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
         _bn_accumulate(x, gamma, beta, bias, train, a_ch, gsum, gxh, dx)
 
     return _node(out, parents, back, "bn_relu_dropout_pool")
+
+
+def conv_bn_relu_pool(x: Tensor, kernel: Tensor, bias: Tensor, gamma: Tensor,
+                      beta: Tensor, state: BatchNormState, pool: int, groups: int) -> Tensor:
+    """bn_relu_dropout_pool(conv1d(x, kernel, "valid", groups), gamma, beta,
+    state, train=False, pool=pool, bias=bias), bitwise, without ever
+    holding the whole batch's convolution output: inference only.
+
+    The stage workers split the batch rows (run_split). Each works through
+    its rows in blocks of about _BLOCK_BYTES: it convolves a block into a
+    reused buffer with the direct path's windows and per-(row, group)
+    products, and writes only the block's pooled rows (_pool_affine_relu).
+    The op builds no graph node; where one would be built (outside
+    no_grad) it raises ValueError rather than drop a gradient. Kernels of
+    FFT_KERNEL_MIN taps or more, which conv1d takes through its FFT path,
+    are refused.
+    """
+    if _grad_enabled:
+        raise ValueError("conv_bn_relu_pool builds no graph: call it inside no_grad()")
+    _conv_check(x, kernel, "valid", groups)
+    b, _, length = x.data.shape
+    gco, ci, k = kernel.data.shape
+    if k >= FFT_KERNEL_MIN:
+        raise ValueError(f"a {k}-tap kernel takes conv1d's FFT path")
+    ng, co, ln = groups, gco // groups, length - k + 1
+    _bn_check((b, gco, ln), gamma, beta, bias, False)
+    _pool_check(ln, pool)
+    _, a_ch, shift = _bn_affine(gamma.data, beta.data, *_bn_running(state, bias))
+    neg = np.flatnonzero(a_ch < 0.0)
+    win = sliding_window_view(x.data, ln, axis=2)   # [B, G*Ci, k, Ln]
+    kf = kernel.data[:, :, ::-1].reshape(ng, co, ci * k)
+    out = np.empty((b, gco, ln // pool))
+
+    def forward_rows(r0, r1):
+        for rows, cols, y in _window_blocks(win[r0:r1], 0, ng, ci, (gco, ln)):
+            np.matmul(kf, cols, out=y.reshape(len(y), ng, co, ln))
+            _pool_affine_relu(y, pool, neg, a_ch, shift, out[r0:r1][rows])
+
+    run_split(forward_rows, b)
+    return Tensor(out, op="conv_bn_relu_pool")
 
 
 def weighted_bce(pred: Tensor, labels: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -12,11 +12,16 @@ channels (one kernel, bias, gamma and beta tensor, one set of running
 statistics) and is a single grouped convolution followed by one fused
 node, `autodiff.bn_relu_dropout_pool`, over [batch, 4*filters, length].
 In training the node draws the stage's dropout keep-mask from random
-bytes, so dropout rates go in steps of 1/256. In inference it pools the
-raw convolution output sign-aware (max where the batch-norm scale is
->= 0, min where it is < 0) and applies batch-norm and relu to the pooled
-half only. The checkpoint still stores each branch's arrays under its
-own names; `Network.branches` gives them as views of the stage arrays.
+bytes, so dropout rates go in steps of 1/256. Inference that builds no
+graph (every pipeline prediction runs under `autodiff.no_grad`) runs each
+stage as one op, `autodiff.conv_bn_relu_pool`, over one block of batch
+rows at a time: it pools each block's raw convolution output sign-aware
+(max where the batch-norm scale is >= 0, min where it is < 0), applies
+batch-norm and relu to the pooled half only, and keeps no more of the
+convolution output than one block. Its output is bitwise that of the
+conv and node, which graph-building inference still runs. The checkpoint
+still stores each branch's arrays under its own names;
+`Network.branches` gives them as views of the stage arrays.
 
 Every network takes raw cycles [batch, input_len]. The front-end is either
 one of the learnable band-splitting layers or "external_fir": the network
@@ -249,10 +254,15 @@ class Network:
 
         n = cycles.shape[0]
         h = bands
+        fused = not train and not ad.grad_enabled()
         for st in (self.stage1, self.stage2):
-            h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
-            h = ad.bn_relu_dropout_pool(h, st.gamma, st.beta, st.state, train,
-                                        cfg.dropout, rng, cfg.pool, bias=st.b)
+            if fused:
+                h = ad.conv_bn_relu_pool(h, st.w, st.b, st.gamma, st.beta, st.state,
+                                         cfg.pool, cfg.bands)
+            else:
+                h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
+                h = ad.bn_relu_dropout_pool(h, st.gamma, st.beta, st.state, train,
+                                            cfg.dropout, rng, cfg.pool, bias=st.b)
         # [B, bands*filters, L'] flattens branch-major: each branch's
         # features form one contiguous block of the head's input
         z = ad.reshape(h, (n, -1))

@@ -772,6 +772,68 @@ class TestStageWorkers:
                 assert relative_error(ana, num) < 1e-4
 
 
+class TestConvBnReluPool:
+    """The inference stage op against its oracle, conv1d(valid, groups) and
+    then bn_relu_dropout_pool(train=False): bitwise, for any worker count
+    and block size."""
+
+    GROUPS = 4
+
+    @classmethod
+    def _stage(cls, batch, ci, co, length, tied=False):
+        """x, kernel, bias, gamma (every other channel negative), beta and
+        running statistics of a grouped stage. Tied: small integers, so the
+        convolution's pool windows often hold a tie for their max and min."""
+        rng = np.random.default_rng(100 * ci + 10 * batch + tied)
+        xs, ks = (batch, cls.GROUPS * ci, length), (cls.GROUPS * co, ci, 5)
+        if tied:
+            x, kern = rng.integers(-1, 2, size=xs), rng.integers(-1, 2, size=ks)
+        else:
+            x, kern = rng.normal(size=xs), rng.normal(size=ks)
+        c = cls.GROUPS * co
+        gamma = rng.normal(1.0, 0.3, size=c) * np.resize([1.0, -1.0], c)
+        st = ad.BatchNormState(c)
+        st.mean, st.var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        return (*(ad.tensor(a) for a in (x, kern, rng.normal(size=c), gamma,
+                                          rng.normal(size=c))), st)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("ci, co", [(1, 8), (8, 4)])   # stage 1, stage 2
+    @pytest.mark.parametrize("pool", [1, 2, 3, 5])
+    def test_equals_conv_then_stage_node(self, monkeypatch, pool, ci, co, batch, tied):
+        x, kern, bias, gamma, beta, st = self._stage(batch, ci, co, 38, tied)
+        with ad.no_grad():
+            h = ad.conv1d(x, kern, "valid", groups=self.GROUPS)
+            want = ad.bn_relu_dropout_pool(h, gamma, beta, st, False, 0.5, None, pool,
+                                           bias=bias).data
+            if tied and pool > 1:   # the inputs hold what they are meant to
+                wins = h.data[..., :34 // pool * pool].reshape(batch, -1, 34 // pool, pool)
+                assert (wins.max(-1)[..., None] == wins).sum(-1).max() > 1
+            assert 0 < np.count_nonzero(want) < want.size
+            for workers, block in ((1, None), (2, None), (1, 1), (2, 1)):
+                monkeypatch.setattr(ad, "available_cpus", lambda: workers)
+                if block is not None:   # one batch row per block
+                    monkeypatch.setattr(ad, "_BLOCK_BYTES", block)
+                got = ad.conv_bn_relu_pool(x, kern, bias, gamma, beta, st, pool, self.GROUPS)
+                assert got.op == "conv_bn_relu_pool" and got._parents == ()
+                assert got.data.shape == want.shape and got.data.tobytes() == want.tobytes()
+
+    def test_refused_where_a_graph_would_be_built(self):
+        args = self._stage(2, 1, 8, 20)
+        with pytest.raises(ValueError, match="no_grad"):
+            ad.conv_bn_relu_pool(*args, 2, self.GROUPS)
+        x, kern, bias, gamma, beta, st = args
+        long_kernel = ad.tensor(np.ones((32, 1, ad.FFT_KERNEL_MIN)))
+        with ad.no_grad():
+            for bad in ((x, long_kernel, bias, gamma, beta, st, 2, 4),   # the FFT path's
+                        (x, kern, bias, gamma, beta, st, 0, 4),
+                        (x, kern, bias, gamma, beta, st, 17, 4),         # 16 samples left
+                        (x, kern, bias, gamma, beta, st, 2, 3)):
+                with pytest.raises(ValueError):
+                    ad.conv_bn_relu_pool(*bad)
+
+
 needs_openblas = pytest.mark.skipif(ad.blas_threads_in_use() is None,
                                     reason="numpy's BLAS has no OpenBLAS thread API")
 

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,44 @@ class TestForward:
                                   input_len=100, seed=0))
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 100)), train=True)
+
+
+class TestInferenceStages:
+    """Without a graph, each branch stage runs as autodiff.conv_bn_relu_pool,
+    one block of batch rows at a time; with one, as conv1d and the stage
+    node."""
+
+    @pytest.mark.parametrize("frontend", list(FRONTENDS))
+    def test_no_grad_forward_equals_graph_building_forward(self, frontend):
+        net = build(NetworkConfig(frontend=frontend, init="random", seed=21))
+        rng = np.random.default_rng(22)
+        for stage in (net.stage1, net.stage2):
+            # min-pooled channels (gamma < 0), biases and running statistics
+            stage.gamma.data[...] *= np.resize([1.0, -1.0], stage.gamma.data.size)
+            stage.b.data[...] = rng.normal(size=stage.b.data.shape)
+            stage.state.mean[...] = rng.normal(size=stage.state.mean.shape)
+            stage.state.var[...] = rng.uniform(0.5, 2.0, size=stage.state.var.shape)
+        # one 2500-sample row fills a stage block, so 5 rows are 5 blocks
+        raw = rng.normal(size=(5, CYCLE_LEN))
+        want = net.forward(raw)
+        assert want._parents
+        with ad.no_grad():
+            got = net.forward(raw).data
+        assert got.tobytes() == want.data.tobytes()
+
+    def test_no_grad_forward_never_holds_the_stage1_conv_output(self):
+        net = build(NetworkConfig(frontend="tconv_lp", seed=23))
+        raw = np.random.default_rng(24).normal(size=(64, CYCLE_LEN))
+        conv_out_bytes = 8 * 64 * 32 * (CYCLE_LEN - 4)   # [64, 4*8, 2496]
+        with ad.no_grad():
+            net.forward(raw[:2])   # the stage workers' pool starts outside the count
+            tracemalloc.start()
+            try:
+                net.forward(raw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < conv_out_bytes
 
 
 class TestGroupedStage:
