@@ -27,11 +27,12 @@ gradient sums over every row, so it stays one product on the calling
 thread.
 
 Stage workers: the grouped conv1d direct path (k < FFT_KERNEL_MIN) splits
-its forward and backward work by whole channel groups, the FFT path (and
-model.Network.decompose) and the inference stage op conv_bn_relu_pool by
-contiguous batch rows, and bn_relu_dropout_pool by channel pairs, one
-chunk per stage worker (run_split). The calling thread runs the first
-chunk and a module-level thread pool the rest. The worker count is the
+its forward and backward work by whole channel groups, the FFT path and
+the inference stage op conv_bn_relu_pool by contiguous batch rows, and
+bn_relu_dropout_pool by channel pairs, one chunk per stage worker
+(run_split); model.Network.decompose is a conv1d call and splits as its
+path does. The calling thread runs the first chunk and a module-level
+thread pool the rest. The worker count is the
 number of CPUs this process may run on (os.sched_getaffinity), capped at
 the number of groups, rows or pairs; one worker runs everything inline.
 It is not a setting, and the BLAS thread variables do not set it. A chunk

@@ -56,8 +56,8 @@ def _environment() -> dict:
     the command (None without its thread API), the CPUs this process may use
     and the stage workers of the grouped branch convolutions. The other
     split ops may use more, up to the CPUs: the stage nodes split by
-    channel pair, and the FFT convolutions and the fixed-bank decomposition
-    by batch row. No result depends on any of these counts."""
+    channel pair, and the FFT convolutions (the baseline's fixed bank among
+    them) by batch row. No result depends on any of these counts."""
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
             "blas_threads_in_use": ad.blas_threads_in_use(),

@@ -618,9 +618,11 @@ class CycleStore:
     def load(cls, path: str) -> "CycleStore":
         """Read a store written by `save`. Anything malformed is a DataError:
         a short file, no cycles, cycles shorter than MIN_CYCLE_LEN,
-        non-finite samples, or a metadata row without a string
+        non-finite samples, a metadata row without a string
         `recording_id`, a 0/1 `label` and an integer `valid_len` in
-        [MIN_CYCLE_LEN, cycle length]."""
+        [MIN_CYCLE_LEN, cycle length], or a cycle with a nonzero sample
+        past its `valid_len` (the padding every CycleRecord holds as
+        zeros)."""
         cur = ByteCursor(read_input(path), path)
         if cur.take(len(STORE_MAGIC), "magic") != STORE_MAGIC:
             raise DataError(f"{path} is not a cycle store")
@@ -640,7 +642,7 @@ class CycleStore:
         if not isinstance(meta, list) or len(meta) != n:
             raise DataError(f"{path}: metadata is not a list of {n} cycle rows")
         for i, m in enumerate(meta):
-            problem = _store_row_problem(m, dim)
+            problem = _store_row_problem(m, samples[i])
             if problem:
                 raise DataError(f"{path}: metadata row {i}: {problem}")
         return cls(samples=samples,
@@ -650,8 +652,9 @@ class CycleStore:
                    subsets=[m.get("subset", "unknown") for m in meta])
 
 
-def _store_row_problem(row, cycle_len: int) -> str | None:
-    """What is wrong with one cycle store metadata row, or None."""
+def _store_row_problem(row, cycle: np.ndarray) -> str | None:
+    """What is wrong with one cycle store metadata row, or with the cycle
+    it describes, or None."""
     if not isinstance(row, dict):
         return "not an object"
     for key, kind in (("recording_id", str), ("label", int), ("valid_len", int)):
@@ -662,6 +665,8 @@ def _store_row_problem(row, cycle_len: int) -> str | None:
         return "'subset' not str"
     if row["label"] not in (0, 1):
         return f"label {row['label']} not 0 or 1"
-    if not MIN_CYCLE_LEN <= row["valid_len"] <= cycle_len:
-        return f"valid_len {row['valid_len']} outside [{MIN_CYCLE_LEN}, {cycle_len}]"
+    if not MIN_CYCLE_LEN <= row["valid_len"] <= cycle.size:
+        return f"valid_len {row['valid_len']} outside [{MIN_CYCLE_LEN}, {cycle.size}]"
+    if cycle[row["valid_len"]:].any():
+        return f"nonzero samples past valid_len {row['valid_len']}"
     return None

@@ -26,9 +26,9 @@ still stores each branch's arrays under its own names;
 Every network takes raw cycles [batch, input_len]. The front-end is either
 one of the learnable band-splitting layers or "external_fir": the network
 then splits the cycles into four bands with a fixed filter bank
-(`Network.decompose`), aligned the same way the conv front-end aligns its
-output (centered, not causal), so a frozen fir-initialized front-end and the
-external decomposition produce identical probabilities.
+(`Network.decompose`): the conv front-end's own "same" `autodiff.conv1d`,
+with the bank's kernel held constant, so a frozen fir-initialized front-end
+and the external decomposition produce bitwise equal probabilities.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import CYCLE_LEN, PIPELINE_RATE_HZ, ByteCursor, read_input, write_output
-from .dsp import next_fast_len
 from .errors import CheckpointError, check_field_types
 from .fir import DEFAULT_ORDER, FilterBank, default_bank
 from .frontend import TConvLayer, init_kernel, param_spec
@@ -279,35 +278,16 @@ class Network:
 
     def decompose(self, raw: np.ndarray) -> np.ndarray:
         """Fixed-bank band decomposition of raw cycles [batch, L] into
-        [batch, bands, L], the external_fir front-end.
-
-        Centered alignment (numpy "same" convolution), matching the conv
-        front-end's output sample-for-sample. Each cycle goes through one
-        FFT product with the bank's spectrum, in the frame conv1d uses
-        (dsp.next_fast_len of the full linear convolution's length) but
-        independent of autodiff.conv1d, so comparing the two checks one
-        implementation against another. The stage workers split the
-        batch by rows (autodiff.run_split); every row is computed on its
-        own, so the result does not depend on the worker count.
-        """
+        [batch, bands, L], the external_fir front-end: a "same" conv1d with
+        the bank's kernel as a constant, the very kernel a frozen
+        fir-initialized conv front-end holds (`frontend.init_kernel`), so
+        the two give bitwise equal bands."""
         if self.bank is None:
             raise ValueError("this network has no fixed filter bank to decompose with")
+        cfg = self.config
+        kernel = ad.tensor(init_kernel(self.bank, (cfg.bands, 1, cfg.kernel_len)))
         raw = np.asarray(raw, dtype=np.float64)
-        coeffs = np.stack([f.coeffs for f in self.bank.filters])   # [bands, K]
-        (b, n), (bands, k) = raw.shape, coeffs.shape
-        if n < k:
-            raise ValueError(f"cycles of {n} samples are shorter than the {k}-tap bank")
-        nfft = next_fast_len(n + k - 1)
-        bank_hat = np.fft.rfft(coeffs, nfft)
-        start = (k - 1) // 2
-        out = np.empty((b, bands, n))
-
-        def rows(r0, r1):
-            spec = np.fft.rfft(raw[r0:r1], nfft)[:, None, :] * bank_hat[None, :, :]
-            out[r0:r1] = np.fft.irfft(spec, nfft)[:, :, start:start + n]
-
-        ad.run_split(rows, b)
-        return out
+        return ad.conv1d(ad.tensor(raw[:, None, :]), kernel, "same").data
 
 
 def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

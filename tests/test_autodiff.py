@@ -575,9 +575,10 @@ class TestBnReluDropoutPool:
 
 class TestStageWorkers:
     """Grouped conv1d's direct path splits its work by channel groups, its
-    FFT path and Network.decompose by batch rows, and the fused stage node
-    by channel pairs across the stage workers; every result must be
-    bitwise the same for any worker count."""
+    FFT path by batch rows, and the fused stage node by channel pairs
+    across the stage workers; Network.decompose is one conv1d call and
+    splits as its path does. Every result must be bitwise the same for any
+    worker count."""
 
     CHUNKS = (1, 2, 3, 4)
 

@@ -257,12 +257,14 @@ class TestSynthIngestFolds:
         assert len(err) == 1 and err[0].startswith("data error:") and src.stem in err[0]
 
     @pytest.mark.parametrize("case", ["nan", "label2", "label_str", "no_label", "id_int",
-                                      "valid_len_short", "valid_len_long", "empty"])
+                                      "valid_len_short", "valid_len_long", "nonzero_tail",
+                                      "empty"])
     def test_malformed_store_is_data_error(self, pipeline, tmp_path, capsys, case):
         store = CycleStore.load(pipeline / "store" / "cycles.bin")
         samples = store.samples.copy()
         meta = [{"recording_id": r, "label": int(l), "valid_len": int(v)}
                 for r, l, v in zip(store.recording_ids, store.labels, store.valid_lens)]
+        named = ""      # what the error line must name besides "data error:"
         if case == "nan":
             samples[3, 10] = np.nan
         elif case == "label2":
@@ -277,6 +279,12 @@ class TestSynthIngestFolds:
             meta[0]["valid_len"] = MIN_CYCLE_LEN - 1
         elif case == "valid_len_long":
             meta[0]["valid_len"] = samples.shape[1] + 1
+        elif case == "nonzero_tail":
+            # a padding sample the network would train on and analyze strips
+            row = int(np.argmax(store.valid_lens < samples.shape[1]))
+            assert store.valid_lens[row] < samples.shape[1]
+            samples[row, -1] = 0.25
+            named = f"metadata row {row}: nonzero samples past valid_len"
         else:
             samples, meta = samples[:0], []
         # the on-disk layout of CycleStore.save
@@ -296,6 +304,7 @@ class TestSynthIngestFolds:
             assert main(argv) == 3, argv[0]
             err = capsys.readouterr().err.strip().splitlines()
             assert len(err) == 1 and err[0].startswith("data error:"), argv[0]
+            assert named in err[0], argv[0]
 
 
 class TestInputFiles:

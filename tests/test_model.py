@@ -275,10 +275,15 @@ class TestGroupedStage:
 
 
 class TestDecompose:
-    def test_matches_numpy_same_convolution(self):
-        net = build(NetworkConfig(frontend="external_fir", seed=0))
-        raw = np.random.default_rng(8).normal(size=(5, 2500))
-        want = np.empty((5, 4, 2500))
+    # conv1d's FFT path (61 and 31 taps) and its direct path (15 taps, below
+    # FFT_KERNEL_MIN); 61 taps on 61 samples is the longest bank a config allows
+    @pytest.mark.parametrize("input_len,kernel_len", [(2500, 61), (120, 31), (300, 15),
+                                                      (61, 61)])
+    def test_matches_numpy_same_convolution(self, input_len, kernel_len):
+        net = build(NetworkConfig(frontend="external_fir", input_len=input_len,
+                                  kernel_len=kernel_len, seed=0))
+        raw = np.random.default_rng(8).normal(size=(5, input_len))
+        want = np.empty((5, 4, input_len))
         for bi, f in enumerate(net.bank.filters):
             for r in range(5):
                 want[r, bi] = np.convolve(raw[r], f.coeffs, mode="same")
@@ -297,9 +302,12 @@ class TestBaselineEquivalence:
             frozen = build(NetworkConfig(frontend="tconv_free", init="fir_bank",
                                          frontend_trainable=False, input_len=n, seed=13))
             baseline = build(NetworkConfig(frontend="external_fir", input_len=n, seed=13))
-            p_frozen = frozen.forward(cycles).data
-            p_base = baseline.forward(cycles).data
-            assert np.abs(p_frozen - p_base).max() < 1e-8, n
+            # the graph-building forward and the inference forward
+            assert np.array_equal(frozen.forward(cycles).data,
+                                  baseline.forward(cycles).data), n
+            with ad.no_grad():
+                assert np.array_equal(frozen.forward(cycles).data,
+                                      baseline.forward(cycles).data), n
 
 
 class TestAggregate:

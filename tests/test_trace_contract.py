@@ -5,6 +5,10 @@ perfbench/spans.py replaces pcgnet functions by name (the autodiff ops,
 Network.forward, Network.decompose, TConvLayer.forward, training.adam_step,
 ...) and reads Network.branches. The benchmark itself runs untraced, so a
 rename there would only show in a traced run; this test runs one.
+Two of the patched names are pcgnet.model's own attributes and must
+survive any refactor: the method Network.decompose, though its body is one
+conv1d call, and the module-level name model.default_bank, which model.py
+imports from pcgnet.fir.
 """
 
 import importlib.util
@@ -84,8 +88,11 @@ def test_traced_train_and_evaluate(monkeypatch):
     assert forward["autodiff.relu.fwd"] == steps
     evaluate = subtree_names(spans, "training.evaluate")
     # inference builds no graph, so each stage is one conv_bn_relu_pool
-    # call, which the tracer does not wrap either: no conv span at all
+    # call, which the tracer does not wrap either: no valid conv span at all
     assert "model.forward" in evaluate and "autodiff.conv1d_valid.fwd" not in evaluate
+    # the baseline's fixed bank is one "same" conv1d, inside decompose
+    assert "model.decompose" in evaluate
+    assert subtree_names(spans, "model.decompose") == ["autodiff.conv1d_same.fwd"]
     for names in (train, evaluate):
         assert not [n for n in names if n.startswith(
             ("autodiff.batchnorm", "autodiff.dropout", "autodiff.maxpool"))]
