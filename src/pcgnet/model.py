@@ -19,8 +19,18 @@ rows at a time: it pools each block's raw convolution output sign-aware
 (max where the batch-norm scale is >= 0, min where it is < 0), applies
 batch-norm and relu to the pooled half only, and keeps no more of the
 convolution output than one block. Its output is bitwise that of the
-conv and node, which graph-building inference still runs. The checkpoint
-still stores each branch's arrays under its own names;
+conv and node, which graph-building inference still runs.
+
+That inference also skips the zero tail that pads each cycle to
+input_len. Batch-norm there uses running statistics and there is no
+dropout, so a stage-2 feature whose window sees only front-end zeros is
+one constant per channel. The forward finds where the batch's signal
+ends from the cycles themselves, runs the front-end and both stages on
+the `crop_len` samples that reach every other feature, and fills the
+rest with the stages' output for an all-zero window. Evaluation feeds it
+batches sorted by valid length, so each crop is close to its rows' own.
+Its probabilities are those of the full forward up to roundoff. The
+checkpoint still stores each branch's arrays under its own names;
 `Network.branches` gives them as views of the stage arrays.
 
 Every network takes raw cycles [batch, input_len]. The front-end is either
@@ -122,6 +132,31 @@ def branch_feature_len(input_len: int, kernel: int = 5, pool: int = 2) -> int:
     n //= pool
     n -= kernel - 1
     return n // pool
+
+
+def _stage2_window(cfg: NetworkConfig) -> tuple[int, int]:
+    """(stride, length) in input samples of the window one stage-2 feature
+    sees: stage 2's pool times stage 1's, and the receptive field of
+    conv(valid)->pool->conv(valid)->pool."""
+    k, pool = cfg.branch_kernel, cfg.pool
+    return pool * pool, pool * (pool + k - 2) + pool + k - 1
+
+
+def crop_len(cfg: NetworkConfig, top: int) -> int:
+    """Input samples that inference needs of cycles that are zero from
+    sample `top` on, or input_len when it needs them all.
+
+    Front-end outputs from top + its half-span on (twice the span for
+    zero phase's two passes) are zero, so a stage-2 feature whose window
+    starts there is the stages' output for zero input. The crop is the
+    shortest input that yields every feature before those: "same" padding
+    then sees, past the crop, the zeros the full input holds there."""
+    half = (cfg.kernel_len - 1) // 2 * (2 if cfg.frontend == "tconv_zp" else 1)
+    stride, field = _stage2_window(cfg)
+    kept = -(-(top + half) // stride)
+    if kept >= branch_feature_len(cfg.input_len, cfg.branch_kernel, cfg.pool):
+        return cfg.input_len
+    return (kept - 1) * stride + field
 
 
 def flatten_width(cfg: NetworkConfig) -> int:
@@ -238,7 +273,11 @@ class Network:
     def forward(self, cycles: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ad.Tensor:
         """Per-cycle abnormality probabilities, shape [batch], from raw
-        cycles [batch, input_len], whatever the front-end."""
+        cycles [batch, input_len], whatever the front-end.
+
+        Inference that builds no graph runs the front-end and both stages
+        on the batch's first `crop_len` samples only and gives every later
+        stage-2 feature the stages' output for zero input."""
         cfg = self.config
         if train and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
@@ -246,14 +285,36 @@ class Network:
         if cycles.ndim != 2 or cycles.shape[1] != cfg.input_len:
             raise ValueError(f"expected raw cycles [batch, {cfg.input_len}], "
                              f"got {cycles.shape}")
-        if self.frontend is None:
-            bands = ad.tensor(self.decompose(cycles))
-        else:
-            bands = self.frontend.forward(ad.tensor(cycles[:, None, :]))
-
         n = cycles.shape[0]
-        h = bands
         fused = not train and not ad.grad_enabled()
+        length = cfg.input_len
+        if fused:   # NaN and Inf are nonzero: the crop keeps them for the leaf scan
+            signal = np.flatnonzero(cycles.any(axis=0))
+            length = crop_len(cfg, int(signal[-1]) + 1 if signal.size else 0)
+        x = cycles[:, :length]
+        if self.frontend is None:   # an op output: the cycles were scanned already
+            bands = ad.Tensor(self.decompose(x), op="decompose")
+        else:
+            bands = self.frontend.forward(ad.tensor(x[:, None, :]))
+        h = self._stages(bands, fused, train, rng)
+        if length < cfg.input_len:
+            _, field = _stage2_window(cfg)
+            tail = self._stages(ad.tensor(np.zeros((1, cfg.bands, field))),
+                                fused=True, train=False, rng=None)
+            width = branch_feature_len(cfg.input_len, cfg.branch_kernel, cfg.pool)
+            fill = np.broadcast_to(tail.data, (n, tail.shape[1], width - h.shape[2]))
+            h = ad.Tensor(np.concatenate([h.data, fill], axis=2), op=h.op)
+        # [B, bands*filters, L'] flattens branch-major: each branch's
+        # features form one contiguous block of the head's input
+        z = ad.reshape(h, (n, -1))
+        z = ad.relu(ad.dense(z, self.head_w1, self.head_b1))
+        out = ad.sigmoid(ad.dense(z, self.head_w2, self.head_b2))
+        return ad.reshape(out, (n,))
+
+    def _stages(self, h: ad.Tensor, fused: bool, train: bool,
+                rng: np.random.Generator | None) -> ad.Tensor:
+        """Both branch stages over bands [batch, bands, L]."""
+        cfg = self.config
         for st in (self.stage1, self.stage2):
             if fused:
                 h = ad.conv_bn_relu_pool(h, st.w, st.b, st.gamma, st.beta, st.state,
@@ -262,12 +323,7 @@ class Network:
                 h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
                 h = ad.bn_relu_dropout_pool(h, st.gamma, st.beta, st.state, train,
                                             cfg.dropout, rng, cfg.pool, bias=st.b)
-        # [B, bands*filters, L'] flattens branch-major: each branch's
-        # features form one contiguous block of the head's input
-        z = ad.reshape(h, (n, -1))
-        z = ad.relu(ad.dense(z, self.head_w1, self.head_b1))
-        out = ad.sigmoid(ad.dense(z, self.head_w2, self.head_b2))
-        return ad.reshape(out, (n,))
+        return h
 
     def l2_penalty(self) -> ad.Tensor | None:
         """L2 penalty on the branch convolution kernels."""

@@ -169,27 +169,31 @@ def _check_cycle_len(net: Network, store: CycleStore) -> None:
                         f"takes {net.config.input_len}")
 
 
-EVAL_BATCH = 256
+EVAL_BATCH = 64
 
 
 def _predict_recordings(net: Network, store: CycleStore, cycle_idx: np.ndarray
                         ) -> dict[str, tuple[np.ndarray, int]]:
     """recording id -> (per-cycle probabilities, true label).
 
-    Cycles are processed in a canonical order (sorted by recording id,
-    then store position) in fixed-size batches, so the result does not
-    depend on the order of cycle_idx.
+    Cycles are taken in a canonical order (sorted by recording id, then
+    store position), stable-sorted by valid length and run in batches of
+    EVAL_BATCH, so each batch holds cycles of similar length for the
+    inference forward to crop to, and the result does not depend on the
+    order of cycle_idx. Each probability is written back to its cycle's
+    place in the canonical order.
     """
     _check_cycle_len(net, store)
     groups: dict[str, list[int]] = {}
     for i in cycle_idx:
         groups.setdefault(store.recording_ids[i], []).append(int(i))
-    flat = [i for rid in sorted(groups) for i in sorted(groups[rid])]
+    flat = np.array([i for rid in sorted(groups) for i in sorted(groups[rid])], dtype=int)
+    by_len = np.argsort(store.valid_lens[flat], kind="stable")
     probs = np.empty(len(flat))
     with ad.no_grad():
         for start in range(0, len(flat), EVAL_BATCH):
-            rows = flat[start:start + EVAL_BATCH]
-            probs[start:start + len(rows)] = net.forward(store.samples[rows]).data
+            batch = by_len[start:start + EVAL_BATCH]
+            probs[batch] = net.forward(store.samples[flat[batch]]).data
     out = {}
     pos = 0
     for rid in sorted(groups):

@@ -214,6 +214,86 @@ class TestInferenceStages:
         assert peak < conv_out_bytes
 
 
+class TestTailCrop:
+    """Inference that builds no graph runs on the batch's first crop_len
+    samples and fills the later stage-2 features with the stages' output
+    for zero input; the graph-building forward runs every sample."""
+
+    @staticmethod
+    def _net(frontend):
+        net = build(NetworkConfig(frontend=frontend, init="random", seed=31))
+        rng = np.random.default_rng(32)
+        for stage in (net.stage1, net.stage2):
+            stage.gamma.data[...] *= np.resize([1.0, -1.0], stage.gamma.data.size)
+            stage.b.data[...] = rng.normal(size=stage.b.data.shape)
+            stage.state.mean[...] = rng.normal(size=stage.state.mean.shape)
+            stage.state.var[...] = rng.uniform(0.5, 2.0, size=stage.state.var.shape)
+        return net
+
+    @staticmethod
+    def _rows(tops, seed=33):
+        """Random rows, row i zero from sample tops[i] on."""
+        raw = np.random.default_rng(seed).normal(size=(len(tops), CYCLE_LEN))
+        for row, top in zip(raw, tops):
+            row[top:] = 0.0
+        return raw
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("frontend", list(FRONTENDS))
+    def test_cropped_forward_matches_graph_building_forward(self, frontend, workers,
+                                                            monkeypatch):
+        monkeypatch.setattr(ad, "available_cpus", lambda: workers)
+        net = self._net(frontend)
+        # the longest row's end sweeps a whole stage-2 window (16 samples,
+        # four strides); each batch also holds a shorter row
+        batches = [self._rows([900 + j, 500]) for j in range(16)]
+        batches += [self._rows([CYCLE_LEN, 700]),   # a row with no tail
+                    self._rows([0, 650]),           # an all-zero row
+                    np.zeros((3, CYCLE_LEN))]       # crop shorter than the 61-tap bank
+        for raw in batches:
+            want = net.forward(raw).data
+            with ad.no_grad():
+                got = net.forward(raw).data
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("frontend", list(FRONTENDS))
+    def test_stage1_sees_only_the_crop(self, frontend, monkeypatch):
+        net = self._net(frontend)
+        lengths = []
+        stage = ad.conv_bn_relu_pool
+
+        def spy(x, *args):
+            lengths.append(x.shape[2])
+            return stage(x, *args)
+
+        monkeypatch.setattr(ad, "conv_bn_relu_pool", spy)
+        with ad.no_grad():
+            net.forward(self._rows([800, 1100, 400]))
+        assert lengths[0] == mdl.crop_len(net.config, 1100) < CYCLE_LEN
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("frontend", list(FRONTENDS))
+    def test_non_finite_sample_past_every_signal_is_refused(self, frontend, bad):
+        net = self._net(frontend)
+        raw = self._rows([800, 600])
+        raw[1, 2000] = bad
+        with ad.no_grad(), pytest.raises(ValueError, match="non-finite"):
+            net.forward(raw)
+
+    def test_crop_keeps_every_feature_the_signal_reaches(self):
+        # 61 taps: half-span 30, twice that for zero phase; stage-2 windows
+        # of 16 samples every 4
+        for frontend, half in (("tconv_lp", 30), ("tconv_zp", 60), ("external_fir", 30)):
+            cfg = NetworkConfig(frontend=frontend)
+            for top in range(0, 1000, 7):
+                kept = -(-(top + half) // 4)
+                assert mdl.crop_len(cfg, top) == 4 * (kept - 1) + 16
+                assert branch_feature_len(mdl.crop_len(cfg, top)) == kept
+            # 622 features: the last crop leaves one of them to the fill
+            assert mdl.crop_len(cfg, 621 * 4 - half) == CYCLE_LEN - 4
+            assert mdl.crop_len(cfg, 621 * 4 - half + 1) == CYCLE_LEN
+
+
 class TestGroupedStage:
     """The grouped branch stage against the per-branch op chains it replaces."""
 

@@ -5,10 +5,10 @@ import pcgnet.autodiff as ad
 from pcgnet.data import CycleStore
 from pcgnet.errors import DataError, NumericalAbort
 from pcgnet.model import NetworkConfig, build
-from pcgnet.training import (AdamState, FoldReport, TrainConfig, adam_step,
+from pcgnet.training import (EVAL_BATCH, AdamState, FoldReport, TrainConfig, adam_step,
                              class_weights_from, cross_fold_summary,
                              effective_lr, evaluate, round2, split_fold,
-                             train_fold)
+                             train_fold, _predict_recordings)
 
 from _reference import REFERENCE_ROWS, std_tolerance
 
@@ -287,6 +287,66 @@ class TestEvaluate:
         rep2 = evaluate(net, store, rng.permutation(val_idx), fold=0)
         assert (rep1.tp, rep1.tn, rep1.fp, rep1.fn) == (rep2.tp, rep2.tn, rep2.fp, rep2.fn)
         assert rep1.macc_pct == rep2.macc_pct
+
+    @staticmethod
+    def _tailed_store():
+        """144 cycles over 24 recordings, each zero past its own valid length."""
+        store = toy_store(n_recordings=24)
+        rng = np.random.default_rng(5)
+        store.valid_lens[:] = rng.integers(150, 601, size=len(store))
+        store.valid_lens[::9] = 300    # ties keep the canonical order
+        for row, n in zip(store.samples, store.valid_lens):
+            row[n:] = 0.0
+        return store
+
+    @staticmethod
+    def _spy_batches(net, monkeypatch):
+        batches = []
+        forward = net.forward
+
+        def spy(cycles, *args, **kwargs):
+            batches.append(np.array(cycles))
+            return forward(cycles, *args, **kwargs)
+
+        monkeypatch.setattr(net, "forward", spy)
+        return batches
+
+    def test_predictions_bitwise_invariant_to_cycle_order(self, monkeypatch):
+        store = self._tailed_store()
+        net = toy_net(seed=4)
+        batches = self._spy_batches(net, monkeypatch)
+        idx = np.arange(len(store))
+        want = _predict_recordings(net, store, idx)
+        first = list(batches)
+        batches.clear()
+        got = _predict_recordings(net, store, np.random.default_rng(1).permutation(idx))
+        assert len(batches) == len(first) > 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(batches, first))
+        assert sorted(got) == sorted(want)
+        for rid, (probs, label) in want.items():
+            assert got[rid][0].tobytes() == probs.tobytes()
+            assert got[rid][1] == label
+
+    def test_batches_run_in_valid_length_order(self, monkeypatch):
+        store = self._tailed_store()
+        net = toy_net(seed=4)
+        batches = self._spy_batches(net, monkeypatch)
+        _predict_recordings(net, store, np.arange(len(store)))
+        assert all(len(b) <= EVAL_BATCH for b in batches)
+        index_of = {row.tobytes(): i for i, row in enumerate(store.samples)}
+        ran = [index_of[row.tobytes()] for b in batches for row in b]
+        # store order is the canonical order here: recording ids ascend
+        assert ran == sorted(range(len(store)), key=lambda i: (store.valid_lens[i], i))
+        assert np.all(np.diff(store.valid_lens[ran]) >= 0)
+
+    def test_each_probability_lands_on_its_cycle(self):
+        store = self._tailed_store()
+        net = toy_net(seed=4)
+        preds = _predict_recordings(net, store, np.arange(len(store)))
+        for rid, (probs, _) in preds.items():
+            rows = np.flatnonzero(np.asarray(store.recording_ids) == rid)
+            # the graph-building forward runs every sample: no crop, no sort
+            assert np.abs(probs - net.forward(store.samples[rows]).data).max() <= 1e-12
 
     def test_prediction_builds_no_graph(self, monkeypatch):
         store = toy_store()
