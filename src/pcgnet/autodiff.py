@@ -29,12 +29,12 @@ thread.
 Stage workers: the grouped conv1d direct path (k < FFT_KERNEL_MIN) splits
 its forward and backward work by whole channel groups, the FFT path and
 the inference stage op conv_bn_relu_pool by contiguous batch rows, and
-bn_relu_dropout_pool by channel pairs, one chunk per stage worker
-(run_split); model.Network.decompose is a conv1d call and splits as its
-path does. The calling thread runs the first chunk and a module-level
-thread pool the rest. The worker count is the
-number of CPUs this process may run on (os.sched_getaffinity), capped at
-the number of groups, rows or pairs; one worker runs everything inline.
+the training stage node bn_relu_dropout_pool by channel pairs, one chunk
+per stage worker (run_split); model.Network.decompose is a conv1d call
+and splits as its path does. The calling thread runs the first chunk and
+a module-level thread pool the rest. The worker count is the number of
+CPUs this process may run on (os.sched_getaffinity), capped at the
+number of groups, rows or pairs; one worker runs everything inline.
 It is not a setting, and the BLAS thread variables do not set it. A chunk
 writes its results only into its own slice of arrays that the calling
 thread allocated, and calls array helpers only, never an op; graph nodes,
@@ -47,9 +47,9 @@ cache-sized blocks of rows: the direct path rebuilds its window matrices
 in backward instead of keeping them, and the FFT path holds no frame
 wider than one block and keeps the signal's spectrum only when the
 kernel gradient needs it. The stage node works one pair at a time.
-conv_bn_relu_pool, which serves inference without a graph, runs the
-direct path's products and the node's inference tail on one block of
-rows at a time, so the whole batch's convolution output never exists.
+conv_bn_relu_pool, the network's one inference stage (inside no_grad),
+runs the direct path's products, batch-norm, relu and pool on one block
+of rows at a time, so the whole batch's convolution output never exists.
 
 BLAS on the calling thread: inside blas_on_calling_thread() OpenBLAS runs
 every product on the thread that calls it, whatever OPENBLAS_NUM_THREADS
@@ -147,7 +147,7 @@ def parameter(data) -> Tensor:
 def no_grad():
     """Build no graph inside the block: op outputs keep no parents and no
     backward closure, so the arrays a closure would hold are freed as soon
-    as the op's caller drops them. Used for inference."""
+    as the op's caller drops them. Every inference forward runs in it."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -155,11 +155,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
-
-
-def grad_enabled() -> bool:
-    """Whether ops build a graph here: False inside no_grad()."""
-    return _grad_enabled
 
 
 def _node(data, parents, backward, op):
@@ -896,7 +891,7 @@ def _pool_views(v: np.ndarray, pool: int) -> list[np.ndarray]:
     return [v[..., j:n:pool] for j in range(pool)]
 
 
-def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pool_max(v: np.ndarray, pool: int, neg, out: np.ndarray) -> np.ndarray:
     """Write into out [B, C, L // pool] the max of each non-overlapping pool
     window of v [B, C, L], the min on the channels listed in `neg`; a
     trailing remainder is dropped. Returns out, or v itself for pool 1."""
@@ -906,7 +901,7 @@ def _pool_max(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> np.
     np.maximum(views[0], views[1], out=out)
     for view in views[2:]:
         np.maximum(out, view, out=out)
-    if neg.size:
+    if len(neg):
         low = np.minimum(views[0][:, neg], views[1][:, neg])
         for view in views[2:]:
             np.minimum(low, view[:, neg], out=low)
@@ -926,16 +921,14 @@ def _pool_affine_relu(v: np.ndarray, pool: int, neg: np.ndarray, a_ch: np.ndarra
     np.maximum(out, 0.0, out=out)
 
 
-def _pool_winner(v: np.ndarray, pool: int, neg: np.ndarray, out: np.ndarray) -> None:
+def _pool_winner(v: np.ndarray, pool: int, out: np.ndarray) -> None:
     """Write into out (unsigned ints) the offset in its window of the
-    element _pool_max took, ties going to the first: each view is compared
-    with the running best by strict > (strict < on `neg`)."""
+    window's max, ties going to the first: each view is compared with the
+    running best by strict >."""
     views = _pool_views(v, pool)
     best = views[0]
     for j, view in enumerate(views[1:], 1):
         take = view > best
-        if neg.size:
-            take[:, neg] = view[:, neg] < best[:, neg]
         if j == 1:   # the bool is offset 0 or 1 as it stands
             np.copyto(out, take)
         else:
@@ -978,9 +971,9 @@ def _channel_blocks(p0: int, p1: int, c: int) -> list[tuple[int, int]]:
 def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                          train: bool, rate: float, rng: np.random.Generator | None,
                          pool: int, bias: Tensor | None = None) -> Tensor:
-    """batchnorm1d -> relu -> dropout -> maxpool1d on [B, C, L] as one node.
+    """batchnorm1d -> relu -> dropout -> maxpool1d on [B, C, L].
 
-    Train mode: y = x*a + shift with batch statistics (the running
+    Train mode runs them as one node: y = x*a + shift with batch statistics (the running
     statistics update as in batchnorm1d), y *= keep, pool, scale by
     1/(1-rate), then relu. Relu after the pool is exact: it commutes with
     max and with a mask >= 0. The keep-mask is one byte_keep_mask draw
@@ -988,12 +981,8 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
     and its output: the gradient passes where out > 0, which also means
     the winner was kept.
 
-    Infer mode: batch-norm is the per-channel map x*a + shift, monotone
-    in x and so in its rounded value, so the raw x is pooled first (max
-    where a >= 0, min where a < 0) and the map and relu run on the pooled
-    values only (_pool_affine_relu); the output is bitwise that of the
-    composed ops. It serves inference that builds a graph; without one,
-    the network runs conv_bn_relu_pool, which shares this arithmetic.
+    Infer mode returns maxpool1d(relu(batchnorm1d(...))), the reference
+    of conv_bn_relu_pool, which runs the network's inference.
 
     Pool windows and ties follow maxpool1d; pool 1 means no pool. The
     stage workers split the channel pairs (_channel_blocks) between them,
@@ -1001,33 +990,24 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
     its gradient never exist for more than three channels per worker.
     """
     check_dropout_rate(rate, in_bytes=True)
-    _bn_check(x.data.shape, gamma, beta, bias, train)
+    if not train:
+        return maxpool1d(relu(batchnorm1d(x, gamma, beta, state, False, bias=bias)), pool)
+    _bn_check(x.data.shape, gamma, beta, bias, True)
     shape = b, c, length = x.data.shape
     _pool_check(length, pool)
     pairs = max(1, c // 2)
     pooled = (b, c, length // pool)
-    win_type = np.min_scalar_type(pool - 1)
-    drop = train and rate != 0.0
+    drop = rate != 0.0
     keep = byte_keep_mask(rng, shape, rate) if drop else None
     out = np.empty(shape if pool == 1 else pooled)
-    # infer mode finds the winners from x in backward, only if one runs
-    winner = np.empty(pooled, win_type) if train and pool > 1 else None
-    if train:
-        mu, var, ivar, a_ch, shift = np.empty((5, c))
-        neg = np.zeros(c, dtype=bool)   # the batch-norm scale is applied before the pool
-    else:
-        mu, var = _bn_running(state, bias)
-        ivar, a_ch, shift = _bn_affine(gamma.data, beta.data, mu, var)
-        neg = a_ch < 0.0
+    winner = np.empty(pooled, np.min_scalar_type(pool - 1)) if pool > 1 else None
+    mu, var, ivar, a_ch, shift = np.empty((5, c))
 
     def forward(p0, p1):
         # y of one channel block (three channels at most)
-        scratch = np.empty((b, 3, length)) if train and pool > 1 else None
+        scratch = np.empty((b, 3, length)) if pool > 1 else None
         for c0, c1 in _channel_blocks(p0, p1, c):
-            xs, os_, lows = x.data[:, c0:c1], out[:, c0:c1], np.flatnonzero(neg[c0:c1])
-            if not train:
-                _pool_affine_relu(xs, pool, lows, a_ch[c0:c1], shift[c0:c1], os_)
-                continue
+            xs, os_ = x.data[:, c0:c1], out[:, c0:c1]
             ys = os_ if pool == 1 else scratch[:, :c1 - c0]
             mu[c0:c1], var[c0:c1] = _bn_batch_stats(xs, ys)
             ivar[c0:c1], a_ch[c0:c1], shift[c0:c1] = _bn_affine(
@@ -1037,18 +1017,14 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
             if drop:
                 np.multiply(ys, keep[:, c0:c1], out=ys)
             if pool > 1:
-                _pool_winner(ys, pool, lows, winner[:, c0:c1])
-                _pool_max(ys, pool, lows, os_)
+                _pool_winner(ys, pool, winner[:, c0:c1])
+                _pool_max(ys, pool, (), os_)
             if drop:
                 os_ *= 1.0 / (1.0 - rate)
             np.maximum(os_, 0.0, out=os_)
 
     run_split(forward, pairs)
-    if train:
-        state.update(mu, var, bias)
-        parents = (x, gamma, beta)
-    else:
-        parents = (x, gamma, beta) if bias is None else (x, gamma, beta, bias)
+    state.update(mu, var, bias)
 
     def back(g):
         gsum, gxh = np.empty(c), np.empty(c)
@@ -1056,25 +1032,20 @@ def bn_relu_dropout_pool(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNor
 
         def backward_pairs(p0, p1):
             gy = np.empty((b, 3, length))
-            win = np.empty((b, 3, length // pool), win_type) if pool > 1 and not train else None
             for c0, c1 in _channel_blocks(p0, p1, c):
                 xs, gs, gys = x.data[:, c0:c1], g[:, c0:c1], gy[:, :c1 - c0]
                 if drop:
                     gs = gs * (1.0 / (1.0 - rate))
-                if win is not None:
-                    ws = win[:, :c1 - c0]
-                    _pool_winner(xs, pool, np.flatnonzero(neg[c0:c1]), ws)
-                else:
-                    ws = None if winner is None else winner[:, c0:c1]
-                _pool_scatter(gs, out[:, c0:c1] > 0.0, ws, pool, gys)
+                _pool_scatter(gs, out[:, c0:c1] > 0.0,
+                              None if winner is None else winner[:, c0:c1], pool, gys)
                 gsum[c0:c1], gxh[c0:c1] = _bn_grads(
-                    gys, xs, mu[c0:c1], ivar[c0:c1], a_ch[c0:c1], train,
+                    gys, xs, mu[c0:c1], ivar[c0:c1], a_ch[c0:c1], True,
                     None if dx is None else dx[:, c0:c1], g_scratch=True)
 
         run_split(backward_pairs, pairs)
-        _bn_accumulate(x, gamma, beta, bias, train, a_ch, gsum, gxh, dx)
+        _bn_accumulate(x, gamma, beta, bias, True, a_ch, gsum, gxh, dx)
 
-    return _node(out, parents, back, "bn_relu_dropout_pool")
+    return _node(out, (x, gamma, beta), back, "bn_relu_dropout_pool")
 
 
 def conv_bn_relu_pool(x: Tensor, kernel: Tensor, bias: Tensor, gamma: Tensor,

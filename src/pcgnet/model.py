@@ -9,19 +9,19 @@ hidden layer of 20 relu units and one sigmoid output.
 The four branches run as two grouped stages. Each stage stores the
 parameters of all four branches stacked branch-major on the output
 channels (one kernel, bias, gamma and beta tensor, one set of running
-statistics) and is a single grouped convolution followed by one fused
-node, `autodiff.bn_relu_dropout_pool`, over [batch, 4*filters, length].
-In training the node draws the stage's dropout keep-mask from random
-bytes, so dropout rates go in steps of 1/256. Inference that builds no
-graph (every pipeline prediction runs under `autodiff.no_grad`) runs each
-stage as one op, `autodiff.conv_bn_relu_pool`, over one block of batch
-rows at a time: it pools each block's raw convolution output sign-aware
-(max where the batch-norm scale is >= 0, min where it is < 0), applies
-batch-norm and relu to the pooled half only, and keeps no more of the
-convolution output than one block. Its output is bitwise that of the
-conv and node, which graph-building inference still runs.
+statistics). In training a stage is a single grouped convolution
+followed by one fused node, `autodiff.bn_relu_dropout_pool`, over
+[batch, 4*filters, length]; the node draws the stage's dropout keep-mask
+from random bytes, so dropout rates go in steps of 1/256. Inference,
+every forward with train=False, has one path: it builds no graph
+(`autodiff.no_grad`) and runs each stage as one op,
+`autodiff.conv_bn_relu_pool`, over one block of batch rows at a time: it
+pools each block's raw convolution output sign-aware (max where the
+batch-norm scale is >= 0, min where it is < 0), applies batch-norm and
+relu to the pooled half only, and keeps no more of the convolution
+output than one block.
 
-That inference also skips the zero tail that pads each cycle to
+Inference also skips the zero tail that pads each cycle to
 input_len. Batch-norm there uses running statistics and there is no
 dropout, so a stage-2 feature whose window sees only front-end zeros is
 one constant per channel. The forward finds where the batch's signal
@@ -29,7 +29,7 @@ ends from the cycles themselves, runs the front-end and both stages on
 the `crop_len` samples that reach every other feature, and fills the
 rest with the stages' output for an all-zero window. Evaluation feeds it
 batches sorted by valid length, so each crop is close to its rows' own.
-Its probabilities are those of the full forward up to roundoff. The
+Its probabilities are those of an uncropped forward up to roundoff. The
 checkpoint still stores each branch's arrays under its own names;
 `Network.branches` gives them as views of the stage arrays.
 
@@ -275,9 +275,10 @@ class Network:
         """Per-cycle abnormality probabilities, shape [batch], from raw
         cycles [batch, input_len], whatever the front-end.
 
-        Inference that builds no graph runs the front-end and both stages
-        on the batch's first `crop_len` samples only and gives every later
-        stage-2 feature the stages' output for zero input."""
+        Inference builds no graph, whatever the caller's grad mode: it runs
+        the front-end and both stages on the batch's first `crop_len`
+        samples and gives every later stage-2 feature the stages' output
+        for zero input."""
         cfg = self.config
         if train and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
@@ -285,10 +286,15 @@ class Network:
         if cycles.ndim != 2 or cycles.shape[1] != cfg.input_len:
             raise ValueError(f"expected raw cycles [batch, {cfg.input_len}], "
                              f"got {cycles.shape}")
-        n = cycles.shape[0]
-        fused = not train and not ad.grad_enabled()
-        length = cfg.input_len
-        if fused:   # NaN and Inf are nonzero: the crop keeps them for the leaf scan
+        if train:
+            return self._forward(cycles, True, rng)
+        with ad.no_grad():
+            return self._forward(cycles, False, None)
+
+    def _forward(self, cycles: np.ndarray, train: bool, rng) -> ad.Tensor:
+        cfg = self.config
+        n, length = cycles.shape
+        if not train:   # NaN and Inf are nonzero: the crop keeps them for the leaf scan
             signal = np.flatnonzero(cycles.any(axis=0))
             length = crop_len(cfg, int(signal[-1]) + 1 if signal.size else 0)
         x = cycles[:, :length]
@@ -296,11 +302,10 @@ class Network:
             bands = ad.Tensor(self.decompose(x), op="decompose")
         else:
             bands = self.frontend.forward(ad.tensor(x[:, None, :]))
-        h = self._stages(bands, fused, train, rng)
+        h = self._stages(bands, train, rng)
         if length < cfg.input_len:
             _, field = _stage2_window(cfg)
-            tail = self._stages(ad.tensor(np.zeros((1, cfg.bands, field))),
-                                fused=True, train=False, rng=None)
+            tail = self._stages(ad.tensor(np.zeros((1, cfg.bands, field))), False, None)
             width = branch_feature_len(cfg.input_len, cfg.branch_kernel, cfg.pool)
             fill = np.broadcast_to(tail.data, (n, tail.shape[1], width - h.shape[2]))
             h = ad.Tensor(np.concatenate([h.data, fill], axis=2), op=h.op)
@@ -311,18 +316,17 @@ class Network:
         out = ad.sigmoid(ad.dense(z, self.head_w2, self.head_b2))
         return ad.reshape(out, (n,))
 
-    def _stages(self, h: ad.Tensor, fused: bool, train: bool,
-                rng: np.random.Generator | None) -> ad.Tensor:
+    def _stages(self, h: ad.Tensor, train: bool, rng) -> ad.Tensor:
         """Both branch stages over bands [batch, bands, L]."""
         cfg = self.config
         for st in (self.stage1, self.stage2):
-            if fused:
+            if train:
+                h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
+                h = ad.bn_relu_dropout_pool(h, st.gamma, st.beta, st.state, True,
+                                            cfg.dropout, rng, cfg.pool, bias=st.b)
+            else:
                 h = ad.conv_bn_relu_pool(h, st.w, st.b, st.gamma, st.beta, st.state,
                                          cfg.pool, cfg.bands)
-            else:
-                h = ad.conv1d(h, st.w, padding="valid", groups=cfg.bands)
-                h = ad.bn_relu_dropout_pool(h, st.gamma, st.beta, st.state, train,
-                                            cfg.dropout, rng, cfg.pool, bias=st.b)
         return h
 
     def l2_penalty(self) -> ad.Tensor | None:

@@ -190,10 +190,9 @@ def _predict_recordings(net: Network, store: CycleStore, cycle_idx: np.ndarray
     flat = np.array([i for rid in sorted(groups) for i in sorted(groups[rid])], dtype=int)
     by_len = np.argsort(store.valid_lens[flat], kind="stable")
     probs = np.empty(len(flat))
-    with ad.no_grad():
-        for start in range(0, len(flat), EVAL_BATCH):
-            batch = by_len[start:start + EVAL_BATCH]
-            probs[batch] = net.forward(store.samples[flat[batch]]).data
+    for start in range(0, len(flat), EVAL_BATCH):
+        batch = by_len[start:start + EVAL_BATCH]
+        probs[batch] = net.forward(store.samples[flat[batch]]).data
     out = {}
     pos = 0
     for rid in sorted(groups):

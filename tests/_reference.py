@@ -130,3 +130,11 @@ def branch_loop_forward(net, batch, train=False, rng=None, states=None):
     z = ad.relu(ad.dense(ad.concat(feats, axis=1), net.head_w1, net.head_b1))
     out = ad.sigmoid(ad.dense(z, net.head_w2, net.head_b2))
     return ad.reshape(out, (n,))
+
+
+def branch_loop_infer(net, raw):
+    """Inference probabilities of raw cycles [batch, input_len] from
+    branch_loop_forward: uncropped, one graph-building op chain per
+    branch, on copies of the running statistics."""
+    batch = net.decompose(raw) if net.frontend is None else raw[:, None, :]
+    return branch_loop_forward(net, batch, False, None, branch_states(net)).data

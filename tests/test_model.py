@@ -15,7 +15,7 @@ from pcgnet.model import (CKPT_MAGIC, FRONTENDS, INITS, Network, NetworkConfig,
                           aggregate_recording, branch_feature_len, build, config_name,
                           flatten_width, load, save)
 
-from _reference import REFERENCE_ROWS, branch_loop_forward, branch_states
+from _reference import REFERENCE_ROWS, branch_loop_forward, branch_loop_infer, branch_states
 
 
 def shape_oracle(input_len, kernel=5, pool=2):
@@ -177,9 +177,8 @@ class TestForward:
 
 
 class TestInferenceStages:
-    """Without a graph, each branch stage runs as autodiff.conv_bn_relu_pool,
-    one block of batch rows at a time; with one, as conv1d and the stage
-    node."""
+    """Inference builds no graph and runs each branch stage as
+    autodiff.conv_bn_relu_pool, one block of batch rows at a time."""
 
     @pytest.mark.parametrize("frontend", list(FRONTENDS))
     def test_no_grad_forward_equals_graph_building_forward(self, frontend):
@@ -193,31 +192,28 @@ class TestInferenceStages:
             stage.state.var[...] = rng.uniform(0.5, 2.0, size=stage.state.var.shape)
         # one 2500-sample row fills a stage block, so 5 rows are 5 blocks
         raw = rng.normal(size=(5, CYCLE_LEN))
-        want = net.forward(raw)
-        assert want._parents
-        with ad.no_grad():
-            got = net.forward(raw).data
-        assert got.tobytes() == want.data.tobytes()
+        got = net.forward(raw)
+        assert got._parents == ()
+        assert np.abs(got.data - branch_loop_infer(net, raw)).max() <= 1e-12
 
     def test_no_grad_forward_never_holds_the_stage1_conv_output(self):
         net = build(NetworkConfig(frontend="tconv_lp", seed=23))
         raw = np.random.default_rng(24).normal(size=(64, CYCLE_LEN))
         conv_out_bytes = 8 * 64 * 32 * (CYCLE_LEN - 4)   # [64, 4*8, 2496]
-        with ad.no_grad():
-            net.forward(raw[:2])   # the stage workers' pool starts outside the count
-            tracemalloc.start()
-            try:
-                net.forward(raw)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        net.forward(raw[:2])   # the stage workers' pool starts outside the count
+        tracemalloc.start()
+        try:
+            net.forward(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < conv_out_bytes
 
 
 class TestTailCrop:
-    """Inference that builds no graph runs on the batch's first crop_len
-    samples and fills the later stage-2 features with the stages' output
-    for zero input; the graph-building forward runs every sample."""
+    """Inference runs on the batch's first crop_len samples and fills the
+    later stage-2 features with the stages' output for zero input; the
+    graph-building reference, branch_loop_forward, runs every sample."""
 
     @staticmethod
     def _net(frontend):
@@ -251,10 +247,7 @@ class TestTailCrop:
                     self._rows([0, 650]),           # an all-zero row
                     np.zeros((3, CYCLE_LEN))]       # crop shorter than the 61-tap bank
         for raw in batches:
-            want = net.forward(raw).data
-            with ad.no_grad():
-                got = net.forward(raw).data
-            assert np.abs(got - want).max() <= 1e-12
+            assert np.abs(net.forward(raw).data - branch_loop_infer(net, raw)).max() <= 1e-12
 
     @pytest.mark.parametrize("frontend", list(FRONTENDS))
     def test_stage1_sees_only_the_crop(self, frontend, monkeypatch):
@@ -267,8 +260,7 @@ class TestTailCrop:
             return stage(x, *args)
 
         monkeypatch.setattr(ad, "conv_bn_relu_pool", spy)
-        with ad.no_grad():
-            net.forward(self._rows([800, 1100, 400]))
+        net.forward(self._rows([800, 1100, 400]))
         assert lengths[0] == mdl.crop_len(net.config, 1100) < CYCLE_LEN
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -277,7 +269,7 @@ class TestTailCrop:
         net = self._net(frontend)
         raw = self._rows([800, 600])
         raw[1, 2000] = bad
-        with ad.no_grad(), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             net.forward(raw)
 
     def test_crop_keeps_every_feature_the_signal_reaches(self):
@@ -340,14 +332,6 @@ class TestGroupedStage:
                 assert np.abs(mean - ref.mean).max() < 1e-12
                 assert np.abs(var - ref.var).max() < 1e-12
 
-    @pytest.mark.parametrize("frontend", ["tconv_lp", "tconv_zp", "external_fir"])
-    def test_infer_matches_branch_loop(self, frontend):
-        net, raw, batch = self._net_and_batch(frontend)
-        want = branch_loop_forward(net, batch, False, None, branch_states(net)).data
-        with ad.no_grad():
-            got = net.forward(raw).data
-        assert np.abs(got - want).max() < 1e-12
-
     def test_branch_states_are_views_of_stage_states(self):
         net = build(NetworkConfig(frontend="external_fir", input_len=100, seed=0))
         net.branches[2].bn2_mean += 1.0
@@ -382,12 +366,12 @@ class TestBaselineEquivalence:
             frozen = build(NetworkConfig(frontend="tconv_free", init="fir_bank",
                                          frontend_trainable=False, input_len=n, seed=13))
             baseline = build(NetworkConfig(frontend="external_fir", input_len=n, seed=13))
-            # the graph-building forward and the inference forward
-            assert np.array_equal(frozen.forward(cycles).data,
-                                  baseline.forward(cycles).data), n
-            with ad.no_grad():
-                assert np.array_equal(frozen.forward(cycles).data,
-                                      baseline.forward(cycles).data), n
+            got = frozen.forward(cycles).data
+            assert np.array_equal(got, baseline.forward(cycles).data), n
+            assert np.abs(got - branch_loop_infer(baseline, cycles)).max() <= 1e-12, n
+            # the uncropped training forward, on one keep-mask
+            assert np.array_equal(frozen.forward(cycles, True, np.random.default_rng(n)).data,
+                                  baseline.forward(cycles, True, np.random.default_rng(n)).data), n
 
 
 class TestAggregate:

@@ -6,7 +6,10 @@ Every other module reads them from there. pcgnet.data spells the
 validation folds (VALIDATION_FOLDS), so the CLI takes its --fold choices
 from it instead of a range of its own. pcgnet.dsp.next_fast_len sizes
 every FFT frame of a linear convolution; next_pow2 is called only where a
-power of two is the point (POW2_SITES).
+power of two is the point (POW2_SITES). Inference has one path:
+model.Network is the only caller of autodiff.no_grad and
+conv_bn_relu_pool (INFERENCE_OWNER), and no grad-mode query
+(grad_enabled) lets a caller pick another.
 
 This scans the source of src/pcgnet/*.py, docstrings skipped, so a second
 copy fails here even if no test runs the path that holds it.
@@ -25,6 +28,8 @@ CLI_ALIASES = {"baseline", "tconv", "lp", "zp", "fir"}
 OWNER = "model"
 # the LTSA's spectral resolution and ingest's autocorrelation frame
 POW2_SITES = {"dsp.ltsa", "data._period_estimate"}
+INFERENCE_OWNER = "model.Network"
+INFERENCE_CALLS = {"no_grad", "conv_bn_relu_pool"}
 
 
 def _docstrings(tree) -> set[int]:
@@ -84,11 +89,13 @@ def test_scan_sees_each_kind_of_site(tmp_path):
         "m:4 choices=range(...)", "m:5 CLI alias 'lp'", "m:5 config value 'tconv_lp'"]
 
 
-class _Pow2Calls(ast.NodeVisitor):
-    """`module.function:line` of each next_pow2 call, by name or attribute."""
+class _Calls(ast.NodeVisitor):
+    """`module.function:line` of each call of a function in `names`, by
+    name or attribute."""
 
-    def __init__(self, module: str):
+    def __init__(self, module: str, names: set[str]):
         self.scope = [module]      # module, then enclosing classes and functions
+        self.names = names
         self.calls: list[str] = []
 
     def visit_ClassDef(self, node):
@@ -101,7 +108,7 @@ class _Pow2Calls(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "next_pow2":
+        if name in self.names:
             self.calls.append(f"{'.'.join(self.scope)}:{node.lineno}")
         self.generic_visit(node)
 
@@ -110,9 +117,24 @@ def pow2_frames(src: Path = SRC) -> list[str]:
     """`module.function:line` of every next_pow2 call outside POW2_SITES."""
     out = []
     for path in sorted(src.glob("*.py")):
-        scan = _Pow2Calls(path.stem)
+        scan = _Calls(path.stem, {"next_pow2"})
         scan.visit(ast.parse(path.read_text(), str(path)))
         out.extend(c for c in scan.calls if c.rsplit(":", 1)[0] not in POW2_SITES)
+    return out
+
+
+def inference_sites(src: Path = SRC) -> list[str]:
+    """`module.function:line` of every no_grad or conv_bn_relu_pool call
+    outside INFERENCE_OWNER, and of every use of a name grad_enabled."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scan = _Calls(path.stem, INFERENCE_CALLS)
+        scan.visit(tree)
+        out.extend(c for c in scan.calls if not c.startswith(INFERENCE_OWNER + "."))
+        out.extend(f"{path.stem}:{node.lineno} grad_enabled" for node in ast.walk(tree)
+                   if "grad_enabled" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                         getattr(node, "name", None)))
     return out
 
 
@@ -140,3 +162,31 @@ def test_pow2_scan_sees_each_call(tmp_path):
         "        return next_pow2(n)\n"
         "    return frame()\n")
     assert pow2_frames(tmp_path) == ["dsp.decompose.frame:5", "m.C.f:5", "m.C.f:5", "m:8"]
+
+
+def test_inference_has_one_path():
+    stray = inference_sites()
+    assert not stray, ("a second inference path: only model.Network enters no_grad and "
+                       "runs conv_bn_relu_pool, and no grad-mode query exists:\n"
+                       + "\n".join(stray))
+
+
+def test_inference_scan_sees_each_site(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "import autodiff as ad\n"
+        "class Network:\n"
+        "    def forward(self, x):\n"
+        "        with ad.no_grad():\n"
+        "            return ad.conv_bn_relu_pool(x)\n"
+        "def predict(net, x):\n"
+        "    with ad.no_grad():\n"
+        "        return net.forward(x)\n")
+    (tmp_path / "autodiff.py").write_text(
+        "_grad_enabled = True\n"
+        "def grad_enabled():\n"
+        "    return _grad_enabled\n"
+        "def stage(x):\n"
+        "    return x if grad_enabled() else conv_bn_relu_pool(x)\n")
+    assert inference_sites(tmp_path) == [
+        "autodiff.stage:5", "autodiff:2 grad_enabled", "autodiff:5 grad_enabled",
+        "model.predict:7"]

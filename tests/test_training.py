@@ -10,7 +10,7 @@ from pcgnet.training import (EVAL_BATCH, AdamState, FoldReport, TrainConfig, ada
                              effective_lr, evaluate, round2, split_fold,
                              train_fold, _predict_recordings)
 
-from _reference import REFERENCE_ROWS, std_tolerance
+from _reference import REFERENCE_ROWS, branch_loop_infer, std_tolerance
 
 
 def toy_store(n_recordings=12, cycles_per=6, length=600, seed=0, gap=4.0):
@@ -112,18 +112,20 @@ class TestAdam:
         y = store.labels[:8]
         w = np.ones(8)
 
-        def loss_value():
-            return float(ad.weighted_bce(net.forward(x), y, w).data)
+        def loss():
+            # train mode on a fresh rng: every call draws the same keep-mask
+            pred = net.forward(x, train=True, rng=np.random.default_rng(0))
+            return ad.weighted_bce(pred, y, w)
 
         net.zero_grad()
-        loss0 = ad.weighted_bce(net.forward(x), y, w)
+        loss0 = loss()
         ad.backward(loss0)
         params = [p for _, p in net.parameters() if p.grad is not None]
         dot = sum(float((p.grad * (-1e-4 * p.grad)).sum()) for p in params)
         assert dot < 0
         for p in params:
             p.data -= 1e-4 * p.grad
-        assert loss_value() < float(loss0.data)
+        assert float(loss().data) < float(loss0.data)
 
 
 class TestClassWeights:
@@ -220,8 +222,7 @@ class TestTrainFold:
         # epoch's val_cycle_acc is the share of validation cycles it gets right
         best = max(history, key=lambda h: h.val_macc_pct)
         _, val_idx = split_fold(store, folds, 0)
-        with ad.no_grad():
-            probs = net.forward(store.samples[val_idx]).data
+        probs = net.forward(store.samples[val_idx]).data
         assert best.val_cycle_acc == np.mean((probs >= 0.5) == store.labels[val_idx])
 
     def test_deterministic(self):
@@ -345,8 +346,9 @@ class TestEvaluate:
         preds = _predict_recordings(net, store, np.arange(len(store)))
         for rid, (probs, _) in preds.items():
             rows = np.flatnonzero(np.asarray(store.recording_ids) == rid)
-            # the graph-building forward runs every sample: no crop, no sort
-            assert np.abs(probs - net.forward(store.samples[rows]).data).max() <= 1e-12
+            # the reference runs every sample, one op chain per branch:
+            # no crop, no sort
+            assert np.abs(probs - branch_loop_infer(net, store.samples[rows])).max() <= 1e-12
 
     def test_prediction_builds_no_graph(self, monkeypatch):
         store = toy_store()
@@ -362,4 +364,10 @@ class TestEvaluate:
         evaluate(net, store, np.arange(len(store)), fold=0)
         assert outputs
         assert all(o._parents == () and o._backward is None for o in outputs)
-        assert forward(store.samples[:2])._backward is not None
+        # outside no_grad too, with the same bits as inside it
+        out = forward(store.samples[:2])
+        assert out._parents == () and out._backward is None
+        with ad.no_grad():
+            assert forward(store.samples[:2]).data.tobytes() == out.data.tobytes()
+        # and the grad mode is back after the forward
+        assert ad.scale(ad.parameter(np.ones(2)), 2.0)._backward is not None
